@@ -13,7 +13,6 @@ import json
 import sys
 
 from . import catalog as catalog_mod
-from .complexes import dual_skeleton
 from .dynamics import (
     build_band_digraph,
     build_edge_digraph,
@@ -24,14 +23,13 @@ from .dynamics import (
     stability_threshold,
 )
 from .energies import asymptotic_bounds, crochet_certificate
-from .errors import FsrError, ValidationFailure
+from .errors import BudgetExceeded, FsrError
 from .io import (
     canonical_json,
     complex_to_json,
     jsonable,
     load_multicurve,
     load_rule,
-    rule_to_json,
     save_rule,
 )
 from .multicurves import classify_multicurve
@@ -41,7 +39,7 @@ from .quotients import (
     quotient_rule,
     validate_collapsible,
 )
-from .report import P_SAMPLES, analyze
+from .report import analyze
 from .rules import (
     DEFAULT_CELL_BUDGET,
     SubdivisionRule,
@@ -240,6 +238,12 @@ def cmd_energy(args) -> int:
         rep = crochet_certificate(rule, args.p, k_factor=args.K)
         _emit(args, rep)
         return 0
+    # the closed-form levels keep one exact count per level-0 edge and level
+    counts = args.level * len(rule.level0.edges)
+    if counts > args.budget:
+        raise BudgetExceeded(
+            f"energy: level {args.level} needs {counts} subedge counts "
+            f"(budget {args.budget})", reached=args.level)
     eb = asymptotic_bounds(rule, args.p, n_max=args.level, multicurves=mcs)
     _emit(args, eb)
     return 0
@@ -300,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="finite subdivision rules: growth, spines, Levy "
                     "detection, multicurve spectra, conformal-energy bounds")
     ap.add_argument("--budget", type=int, default=DEFAULT_CELL_BUDGET,
-                    help="cell-count budget for subdivision")
+                    help="cell-count budget for subdivision (and for the "
+                         "per-level subedge counts of energy)")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for randomized search order (results do not "
                          "depend on it)")

@@ -111,9 +111,6 @@ class SphereComplex:
         """Counterclockwise-next dart out of the same vertex as ``d``."""
         return flip(self.walk_prev(d))
 
-    def rotation_cw(self, d: Dart) -> Dart:
-        return self.walk_next(flip(d))
-
     def vertex_darts(self) -> dict[str, list[Dart]]:
         """Outgoing darts per vertex (insertion order, not rotation order)."""
         memo = self._cache()
@@ -296,12 +293,6 @@ class DualSkeleton:
     def dual_head(self, d: Dart) -> str:
         return self.dart_tile[d]
 
-    def left_vertex(self, d: Dart) -> str:
-        """Primal vertex on the left of the dual dart keyed by d."""
-        e, s = d
-        t, h = self.complex.edges[e]
-        return t if s > 0 else h
-
     def num_dual_vertices(self) -> int:
         return len(self.complex.tiles)
 
@@ -310,10 +301,6 @@ class DualSkeleton:
 
     def num_faces(self) -> int:
         return len(self.face_vertex)
-
-    def edges_at_tile(self, t: str) -> list[str]:
-        return [d[0] for d in self.rotation[t]]
-
 
 def dual_skeleton(cx: SphereComplex) -> DualSkeleton:
     """Dualize a validated complex; faces are labeled by primal vertices."""
@@ -415,11 +402,6 @@ def is_closed_walk(dual: DualSkeleton, c: CombinatorialCurve) -> bool:
         if dual.dual_head(d) != dual.dual_tail(nxt):
             return False
     return True
-
-
-def is_vertex_simple(dual: DualSkeleton, c: CombinatorialCurve) -> bool:
-    vs = curve_vertices(dual, c)
-    return len(set(vs)) == len(vs)
 
 
 def _chords_cross(a: tuple[int, int], b: tuple[int, int], n: int) -> bool:

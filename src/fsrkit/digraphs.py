@@ -6,8 +6,6 @@ their radicals, growth classification, and certified spectral radii.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -38,12 +36,6 @@ class DynDigraph:
         for a in self.arcs:
             if a.src not in vs or a.dst not in vs:
                 raise ValueError(f"arc {a} references unknown vertex")
-
-    def out_arcs(self, v: Label) -> list[Arc]:
-        return [a for a in self.arcs if a.src == v]
-
-    def successors(self, v: Label) -> list[Label]:
-        return [a.dst for a in self.arcs if a.src == v]
 
     def adjacency_matrix(self, order: Sequence[Label] | None = None) -> np.ndarray:
         order = list(order) if order is not None else list(self.vertices)
@@ -172,12 +164,6 @@ def _scc_internal_arcs(g: DynDigraph) -> tuple[dict[Label, int], list[list[Label
         if comp_of[a.src] == comp_of[a.dst]:
             internal[comp_of[a.src]] += 1
     return comp_of, sccs, internal
-
-
-def cycle_sccs(g: DynDigraph) -> set[int]:
-    """Indices of SCCs containing at least one cycle."""
-    comp_of, sccs, internal = _scc_internal_arcs(g)
-    return {i for i, comp in enumerate(sccs) if len(comp) > 1 or internal[i] >= 1}
 
 
 def cycles_are_disjoint(g: DynDigraph) -> bool:
@@ -360,14 +346,3 @@ def spectral_radius(m: np.ndarray, tol: float = 1e-12) -> CertifiedValue:
         if cand.value > best.value:
             best = cand
     return best
-
-
-def edge_growth_rate_matrix(m: np.ndarray, poly: bool, tol: float = 1e-10
-                            ) -> CertifiedValue:
-    """Growth rate with the exact value 1.0 forced in the polynomial regime."""
-    if poly:
-        return CertifiedValue(1.0, 1.0, 1.0)
-    sr = spectral_radius(m, tol=tol)
-    if sr.value < 1.0:
-        raise InternalInconsistency("subdivision growth rate below 1")
-    return sr

@@ -8,10 +8,9 @@ sides lie on distinct walk positions of the carrying tile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from math import lcm
 
-from .complexes import Dart, flip
 from .digraphs import (
     Arc,
     CertifiedValue,
@@ -156,10 +155,27 @@ def stability_threshold(rule: SubdivisionRule,
     return best
 
 
+def subedge_counts(rule: SubdivisionRule, n_max: int,
+                   index: RuleIndex | None = None) -> Iterator[dict[str, int]]:
+    """|R^n(e)| for every level-0 edge e, for n = 0 .. n_max in turn.
+
+    A level-n subedge of e is a path of length n from e in the edge digraph,
+    so counts_n[e] = sum over arcs e -> f of counts_(n-1)[f], from
+    counts_0 = 1: the row sums of A^n.  The counts are Python ints, which
+    stay exact where int64 would wrap (from n = 63 on doubling_edge)."""
+    g = build_edge_digraph(rule, index)
+    counts = dict.fromkeys(g.vertices, 1)
+    yield counts
+    for _ in range(n_max):
+        nxt = dict.fromkeys(g.vertices, 0)
+        for a in g.arcs:
+            nxt[a.src] += counts[a.dst]
+        counts = nxt
+        yield counts
+
+
 def subdivision_edge_count(rule: SubdivisionRule, e0: str, n: int,
                            index: RuleIndex | None = None) -> int:
     """|R^n(e)|: number of level-n subedges of e (paths of length n in E)."""
-    from .digraphs import path_count
-
-    g = build_edge_digraph(rule, index)
-    return path_count(g, e0, n)
+    *_, counts = subedge_counts(rule, n, index)
+    return counts[e0]

@@ -8,6 +8,12 @@ asymptotic energy.  The certificate engine builds the dual-skeleton virtual
 endomorphism, removes one edge per Julia vertex, equips the base with a
 K-expanding length, deforms the map near the recurrent forest by a staggered
 cascade of local pulls, and evaluates the resulting fill profile exactly.
+
+The per-level values a_n of the natural representatives (unit base lengths)
+need no level-n complex: a_n = (max_e |R^n(e)|)^(1/p), with the subedge
+counts |R^n(e)| taken as exact integers from the edge digraph.
+``test_natural_levels_match_explicit_representative`` checks this identity
+against the explicitly built representatives.
 """
 
 from __future__ import annotations
@@ -18,14 +24,19 @@ from fractions import Fraction
 from math import inf
 
 from .complexes import Dart, MINUS, PLUS, dual_skeleton, flip
-from .digraphs import path_count
 from .dynamics import (
     build_edge_digraph,
     has_polynomial_growth,
     recurrency_periods,
     stability_threshold,
+    subedge_counts,
 )
-from .errors import InternalInconsistency, UnsupportedRegime, ValidationFailure
+from .errors import (
+    BudgetExceeded,
+    InternalInconsistency,
+    UnsupportedRegime,
+    ValidationFailure,
+)
 from .multicurves import MulticurveSpec, lambda_p
 from .rules import (
     RuleIndex,
@@ -210,9 +221,8 @@ def natural_representative(rule: SubdivisionRule, n: int, m: int,
 def e1_exact(rule: SubdivisionRule, n: int,
              index: RuleIndex | None = None) -> int:
     """E^1 of the level-n natural representative: max subedge count."""
-    index = index or require_valid_rule(rule)
-    g = build_edge_digraph(rule, index)
-    return max(path_count(g, e, n) for e in rule.level0.edges)
+    *_, counts = subedge_counts(rule, n, index)
+    return max(counts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -419,23 +429,6 @@ def piecewise_energy(pm: PiecewiseMap, p: float) -> tuple[float, str]:
     if p == inf:
         return top, where
     return top ** (1.0 / p), where
-
-
-def plmap_to_pieces(m: PLGraphMap) -> PiecewiseMap:
-    pm = PiecewiseMap(m.domain, m.codomain)
-    for e, act in m.action.items():
-        if isinstance(act, Collapse):
-            continue
-        le = m.domain.lengths[e]
-        li = m.codomain.lengths[act.edge]
-        if act.orient == PLUS:
-            pm.pieces.append(Piece(e, Fraction(0), le, act.edge,
-                                   Fraction(0), li))
-        else:
-            pm.pieces.append(Piece(e, Fraction(0), le, act.edge,
-                                   li, Fraction(0)))
-    pm.check()
-    return pm
 
 
 # ---------------------------------------------------------------------------
@@ -975,20 +968,38 @@ class EnergyBound:
 
 
 def natural_energy_levels(rule: SubdivisionRule, p: float, n_max: int,
-                          tower: Tower | None = None) -> dict[int, float]:
-    """a_n = E^p_p of the level-n natural representative, unit base lengths."""
-    tower = tower or Tower.build(rule)
+                          tower: Tower | None = None, *,
+                          index: RuleIndex | None = None) -> dict[int, float]:
+    """a_n = E^p_p of the level-n natural representative, unit base lengths,
+    for n = 1 .. n_max, in closed form.
+
+    The representative maps every level-n dual edge with derivative 1 onto
+    the dual of its level-0 ancestor edge, or collapses it.  The fill on a
+    level-0 dual edge e is therefore |R^n(e)|, and
+    a_n = float(max_e |R^n(e)|) ** (1/p): the bare count at p = 1 and 1.0 at
+    p = infinity, bitwise what ``energy_pp`` returns for the explicit map
+    (``test_natural_levels_match_explicit_representative``).  Only the
+    rule's index is used: a passed tower is never extended.  A count beyond
+    the float range raises BudgetExceeded."""
+    if index is None:
+        index = tower.index if tower is not None else require_valid_rule(rule)
     out = {}
-    for n in range(1, n_max + 1):
-        rep = natural_representative(rule, n, 0, tower, p=p)
-        out[n] = energy_pp(rep, p)
+    for n, counts in enumerate(subedge_counts(rule, n_max, index)):
+        if n == 0:
+            continue
+        try:
+            top = float(max(counts.values()))
+        except OverflowError:
+            raise BudgetExceeded(
+                f"energy: level {n} subedge count exceeds the float range",
+                reached=n) from None
+        out[n] = top ** (1.0 / p)
     return out
 
 
 def asymptotic_bounds(rule: SubdivisionRule, p: float, n_max: int = 4,
                       multicurves: tuple[MulticurveSpec, ...] = (),
                       index: RuleIndex | None = None,
-                      tower: Tower | None = None,
                       try_certificate: bool = True) -> EnergyBound:
     """Certified bracket for the asymptotic p-conformal energy.
 
@@ -998,7 +1009,6 @@ def asymptotic_bounds(rule: SubdivisionRule, p: float, n_max: int = 4,
     from user-supplied multicurves via lambda_p^(1/p).
     """
     index = index or require_valid_rule(rule)
-    tower = tower or Tower.build(rule)
     poly = has_polynomial_growth(rule, index)
 
     lower = None
@@ -1017,9 +1027,10 @@ def asymptotic_bounds(rule: SubdivisionRule, p: float, n_max: int = 4,
         return EnergyBound(p, 1.0, "polynomial growth: exact", max(lower or 1.0, 1.0),
                            lower_source or "trivial bound", certified=True,
                            exact=True,
-                           per_level=natural_energy_levels(rule, p, n_max, tower))
+                           per_level=natural_energy_levels(rule, p, n_max,
+                                                           index=index))
 
-    per_level = natural_energy_levels(rule, p, n_max, tower)
+    per_level = natural_energy_levels(rule, p, n_max, index=index)
     upper = None
     upper_source = ""
     for n, a in per_level.items():

@@ -8,9 +8,9 @@ import math
 from fractions import Fraction
 from typing import Any
 
-from .complexes import Dart, SphereComplex, sign_of, sign_str
+from .complexes import SphereComplex, sign_of, sign_str
 from .errors import ValidationFailure
-from .multicurves import INESSENTIAL, Lift, MulticurveSpec
+from .multicurves import Lift, MulticurveSpec
 from .rules import EdgeImage, SubdivisionRule, TileImage
 
 SCHEMA_VERSION = 1
@@ -53,7 +53,7 @@ def complex_from_json(data: dict, marked: frozenset[str] = frozenset()
         edges = {e: (t, h) for e, t, h in data["edges"]}
         tiles = {t: tuple((e, sign_of(s)) for e, s in walk)
                  for t, walk in data["tiles"]}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationFailure(f"malformed complex data: {exc}",
                                 check="schema") from exc
     return SphereComplex(vertices, edges, tiles, marked)
@@ -85,6 +85,10 @@ def rule_to_json(rule: SubdivisionRule) -> dict:
 
 
 def rule_from_json(data: dict) -> SubdivisionRule:
+    if not isinstance(data, dict):
+        raise ValidationFailure(
+            f"rule data must be a JSON object, not {type(data).__name__}",
+            check="schema")
     if data.get("version") != SCHEMA_VERSION:
         raise ValidationFailure(
             f"unsupported rule schema version {data.get('version')!r}",
@@ -111,7 +115,7 @@ def rule_from_json(data: dict) -> SubdivisionRule:
                        for t, (img, a) in mp["tiles"].items()},
             metadata=dict(data.get("metadata", {})),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationFailure(f"malformed rule data: {exc}",
                                 check="schema") from exc
     return rule
@@ -133,14 +137,22 @@ def multicurve_from_json(data: dict) -> MulticurveSpec:
         lifts = tuple(Lift(img, pre, int(deg))
                       for img, pre, deg in data["lifts"])
         return MulticurveSpec(curves, lifts, data.get("map_degree"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationFailure(f"malformed multicurve data: {exc}",
                                 check="schema") from exc
 
 
-def load_rule(path: str) -> SubdivisionRule:
+def _load_json(path: str) -> Any:
     with open(path, encoding="utf-8") as fh:
-        return rule_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValidationFailure(f"{path} is not valid JSON: {exc}",
+                                    check="schema") from exc
+
+
+def load_rule(path: str) -> SubdivisionRule:
+    return rule_from_json(_load_json(path))
 
 
 def save_rule(rule: SubdivisionRule, path: str) -> None:
@@ -149,8 +161,7 @@ def save_rule(rule: SubdivisionRule, path: str) -> None:
 
 
 def load_multicurve(path: str) -> MulticurveSpec:
-    with open(path, encoding="utf-8") as fh:
-        return multicurve_from_json(json.load(fh))
+    return multicurve_from_json(_load_json(path))
 
 
 def jsonable(value: Any) -> Any:

@@ -6,13 +6,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import inf
 
-from .complexes import CombinatorialCurve
 from .dynamics import (
-    build_band_digraph,
-    build_edge_digraph,
-    build_tile_digraph,
     edge_growth_classes,
     edge_growth_rate,
     has_polynomial_growth,
@@ -20,7 +15,7 @@ from .dynamics import (
     stability_threshold,
 )
 from .energies import asymptotic_bounds, e1_exact
-from .errors import FsrError, UnsupportedRegime
+from .errors import FsrError
 from .multicurves import MulticurveSpec, classify_multicurve
 from .quotients import normalize_for_energy
 from .rules import SubdivisionRule, Tower, classify_vertices, julia_edges, \
@@ -67,7 +62,6 @@ def analyze(rule: SubdivisionRule, p_samples: tuple[float, ...] = P_SAMPLES,
     report.valid = True
     report.degree = rep.notes["degree"]
     index = require_valid_rule(rule)
-    tower = Tower.build(rule)
 
     # growth
     report.stages.append("growth")
@@ -129,13 +123,14 @@ def analyze(rule: SubdivisionRule, p_samples: tuple[float, ...] = P_SAMPLES,
         report.spine = {"note": "exponential growth regime: spine and Levy "
                                 "decisions are not supported"}
         report.levy = {"note": "unsupported regime"}
-        report.energy = _energy_section(rule, index, tower, p_samples,
-                                        multicurves, n_max, poly)
+        report.energy = _energy_section(rule, index, p_samples, multicurves,
+                                        n_max)
         report.arc = _arc_section(report)
         return report
 
     # Levy decision
     report.stages.append("levy")
+    tower = Tower.build(rule)
     try:
         levy = is_levy_free(rule, index=index, tower=tower)
         report.levy = {
@@ -193,21 +188,18 @@ def analyze(rule: SubdivisionRule, p_samples: tuple[float, ...] = P_SAMPLES,
 
     report.stages.append("energy")
     base_index = require_valid_rule(base) if base is not rule else index
-    report.energy = _energy_section(base, base_index, None, p_samples,
-                                    multicurves, n_max, poly)
+    report.energy = _energy_section(base, base_index, p_samples, multicurves,
+                                    n_max)
     report.arc = _arc_section(report)
     return report
 
 
-def _energy_section(rule, index, tower, p_samples, multicurves, n_max, poly
-                    ) -> dict:
-    tower = tower or Tower.build(rule)
+def _energy_section(rule, index, p_samples, multicurves, n_max) -> dict:
     out: dict = {"samples": {}, "monotone_envelope": {}}
     for p in p_samples:
         try:
             eb = asymptotic_bounds(rule, p, n_max=n_max,
-                                   multicurves=multicurves,
-                                   index=index, tower=tower)
+                                   multicurves=multicurves, index=index)
             entry = {
                 "upper": eb.upper,
                 "upper_source": eb.upper_source,

@@ -482,10 +482,6 @@ class LeveledComplex:
     einfo: dict[str, CellInfo]
     tinfo: dict[str, CellInfo]
 
-    def cell_count(self) -> int:
-        cx = self.complex
-        return len(cx.vertices) + len(cx.edges) + len(cx.tiles)
-
     def edge_type(self, e: str) -> tuple[str, int]:
         info = self.einfo[e]
         return info.type_cell, info.type_orient

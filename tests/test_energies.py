@@ -8,7 +8,9 @@ from math import inf
 
 import pytest
 
-from fsrkit.catalog import get_rule, power_spider_2
+from fsrkit.catalog import CATALOG, get_rule, power_spider_2
+from fsrkit.digraphs import path_count
+from fsrkit.dynamics import build_edge_digraph
 from fsrkit.energies import (
     Collapse,
     ConformalGraph,
@@ -100,6 +102,34 @@ def test_e1_exact():
     for n in (1, 2, 3):
         rep = natural_representative(rule, n, 0, tower, p=1.0)
         assert energy_pp(rep, 1.0) == e1_exact(rule, n)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_natural_levels_match_explicit_representative(name):
+    # the closed form (max_e |R^n(e)|)^(1/p) is bitwise the energy of the
+    # explicitly built level-n natural representative
+    rule = get_rule(name)
+    tower = Tower.build(rule)
+    for p in (1.0, 1.5, 2.0, 4.0, inf):
+        levels = natural_energy_levels(rule, p, 5, tower)
+        for n in range(1, 6):
+            rep = natural_representative(rule, n, 0, tower, p=p)
+            assert energy_pp(rep, p) == levels[n], (name, p, n)
+
+
+@pytest.mark.parametrize("name,n", [("tripod_pillow_4", 40),
+                                    ("doubling_edge", 70)])
+def test_natural_levels_exact_at_deep_levels(name, n):
+    # exact integer counts agree with the brute-force path count, also past
+    # 2^63 where an int64 count would wrap (doubling_edge from n = 63)
+    rule = get_rule(name)
+    g = build_edge_digraph(rule)
+    top = max(path_count(g, e, n) for e in rule.level0.edges)
+    assert e1_exact(rule, n) == top
+    assert natural_energy_levels(rule, 1.0, n)[n] == float(top)
+    assert natural_energy_levels(rule, 2.0, n)[n] == float(top) ** 0.5
+    if name == "doubling_edge":
+        assert top == 2 ** 70
 
 
 def test_submultiplicativity_of_levels():

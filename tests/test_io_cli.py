@@ -130,6 +130,35 @@ def test_cli_budget_exit_code():
     assert code == 4
 
 
+def test_cli_energy_level_past_float_range_exit_code(capsys):
+    # 2^1024 level-1024 subedges do not fit a float
+    code, out = run_cli("--json", "energy", "doubling_edge", "--p", "2",
+                        "--level", "1100")
+    err = capsys.readouterr().err
+    assert code == 4 and out == ""
+    assert err.startswith("error: energy: level 1024")
+
+
+def test_cli_energy_level_budget_exit_code(capsys):
+    code, _ = run_cli("--budget", "50", "--json", "energy", "power_spider_2",
+                      "--level", "100")
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: energy: level 100")
+
+
+@pytest.mark.parametrize("command", ["validate", "multicurve"])
+@pytest.mark.parametrize("content", ["{not json", "[1, 2]", "\"text\"",
+                                     "\udcff"])
+def test_cli_malformed_file_exit_code(tmp_path, capsys, command, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content, errors="surrogateescape")
+    argv = ["--spec", str(path)] if command == "multicurve" else [str(path)]
+    code, _ = run_cli(command, *argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_cli_subdivide_and_report_json(tmp_path):
     out = tmp_path / "lvl2.json"
     code, _ = run_cli("subdivide", "power_spider_2", "--level", "2",
