@@ -9,7 +9,6 @@ inconsistency.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import catalog as catalog_mod
@@ -45,7 +44,6 @@ from .rules import (
     SubdivisionRule,
     Tower,
     classify_vertices,
-    require_valid_rule,
     subdivide,
     validate_rule,
 )
@@ -116,32 +114,30 @@ def cmd_subdivide(args) -> int:
 
 def cmd_growth(args) -> int:
     rule = _load(args)
-    index = require_valid_rule(rule)
-    classes = edge_growth_classes(rule, index)
+    classes = edge_growth_classes(rule)
     data = {
         "rule": rule.name,
-        "polynomial": has_polynomial_growth(rule, index),
+        "polynomial": has_polynomial_growth(rule),
         "edges": {e: {"class": str(classes[e]),
-                      "rho": edge_growth_rate(rule, e, index).value}
+                      "rho": edge_growth_rate(rule, e).value}
                   for e in sorted(rule.level0.edges)},
     }
     _emit(args, data)
     if args.dot:
-        for label, g in (("edge", build_edge_digraph(rule, index)),
-                         ("tile", build_tile_digraph(rule, index)),
-                         ("band", build_band_digraph(rule, index))):
+        for label, g in (("edge", build_edge_digraph(rule)),
+                         ("tile", build_tile_digraph(rule)),
+                         ("band", build_band_digraph(rule))):
             sys.stdout.write(g.to_dot(f"{rule.name}_{label}") + "\n")
     return 0
 
 
 def cmd_spine(args) -> int:
     rule = _load(args)
-    index = require_valid_rule(rule)
     level = args.level
     if level is None:
-        level = max(stability_threshold(rule, index), 1) \
-            if has_polynomial_growth(rule, index) else 1
-    spine = non_expanding_spine(rule, level, index)
+        level = max(stability_threshold(rule), 1) \
+            if has_polynomial_growth(rule) else 1
+    spine = non_expanding_spine(rule, level)
     data = {
         "rule": rule.name,
         "level": spine.level,
@@ -177,14 +173,13 @@ def cmd_levy(args) -> int:
 
 def cmd_quotient(args) -> int:
     rule = _load(args)
-    index = require_valid_rule(rule)
     if args.edges or args.tiles:
         edges = frozenset(filter(None, (args.edges or "").split(",")))
         tiles = frozenset(filter(None, (args.tiles or "").split(",")))
-        x = validate_collapsible(rule, edges, tiles, index)
+        x = validate_collapsible(rule, edges, tiles)
     else:
-        x = collapsible_from_julia_edges(rule, index)
-    res = quotient_rule(rule, x, index)
+        x = collapsible_from_julia_edges(rule)
+    res = quotient_rule(rule, x)
     if args.out:
         save_rule(res.rule, args.out)
         with open(args.out + ".collapse.json", "w", encoding="utf-8") as fh:
@@ -261,14 +256,11 @@ def cmd_render(args) -> int:
     from .render import render_rule_level
 
     rule = _load(args)
-    index = require_valid_rule(rule)
-    tower = Tower.build(rule)
-    lv = tower.up_to(args.level)
-    classes = classify_vertices(rule, index)
+    lv = Tower.of(rule).up_to(args.level)
+    classes = classify_vertices(rule)
     spine = None
     if args.spine:
-        spine = non_expanding_spine(rule, args.level, index, tower,
-                                    enforce_threshold=False)
+        spine = non_expanding_spine(rule, args.level, enforce_threshold=False)
     svg = render_rule_level(rule, lv, classes, spine)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -14,7 +14,6 @@ of ``d``) is keyed by ``d`` itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from .errors import ValidationFailure
 
@@ -42,6 +41,18 @@ def sign_of(s: str | int) -> int:
     raise ValueError(f"bad orientation sign {s!r}")
 
 
+def memo(obj) -> dict:
+    """Derived data of an object that is immutable after construction.
+
+    The dict lives outside the dataclass fields, so equality ignores it and
+    ``dataclasses.replace`` starts the new object with an empty one."""
+    d = obj.__dict__
+    m = d.get("_memo")
+    if m is None:
+        m = d["_memo"] = {}
+    return m
+
+
 @dataclass(frozen=True)
 class SphereComplex:
     """CW structure on S^2: vertices, directed edges, tiles with boundary walks."""
@@ -52,13 +63,6 @@ class SphereComplex:
     marked: frozenset[str] = frozenset()
 
     # -- raw accessors ---------------------------------------------------
-
-    def _cache(self) -> dict:
-        try:
-            return object.__getattribute__(self, "_memo")
-        except AttributeError:
-            object.__setattr__(self, "_memo", {})
-            return object.__getattribute__(self, "_memo")
 
     def tail(self, d: Dart) -> str:
         t, h = self.edges[d[0]]
@@ -81,9 +85,9 @@ class SphereComplex:
 
     def dart_location(self) -> dict[Dart, tuple[str, int]]:
         """Map each dart to (tile id, walk position).  Requires pairing."""
-        memo = self._cache()
-        if "loc" in memo:
-            return memo["loc"]
+        m = memo(self)
+        if "loc" in m:
+            return m["loc"]
         loc: dict[Dart, tuple[str, int]] = {}
         for t in sorted(self.tiles):
             for i, d in enumerate(self.tiles[t]):
@@ -91,7 +95,7 @@ class SphereComplex:
                     raise ValidationFailure(
                         f"dart {d} occurs twice in tile walks", check="orientation pairing")
                 loc[d] = (t, i)
-        memo["loc"] = loc
+        m["loc"] = loc
         return loc
 
     def tile_left(self, d: Dart) -> str:
@@ -113,14 +117,14 @@ class SphereComplex:
 
     def vertex_darts(self) -> dict[str, list[Dart]]:
         """Outgoing darts per vertex (insertion order, not rotation order)."""
-        memo = self._cache()
-        if "vdarts" in memo:
-            return memo["vdarts"]
+        m = memo(self)
+        if "vdarts" in m:
+            return m["vdarts"]
         out: dict[str, list[Dart]] = {v: [] for v in self.vertices}
         for e, (t, h) in self.edges.items():
             out[t].append((e, PLUS))
             out[h].append((e, MINUS))
-        memo["vdarts"] = out
+        m["vdarts"] = out
         return out
 
     def degree(self, v: str) -> int:
@@ -153,9 +157,9 @@ class ValidationReport:
 
 def validate_complex(cx: SphereComplex) -> ValidationReport:
     """Check all SphereComplex invariants; report the first violated one."""
-    memo = cx._cache()
-    if "validated" in memo:
-        return memo["validated"]
+    m = memo(cx)
+    if "validated" in m:
+        return m["validated"]
     fails: list[tuple[str, str]] = []
 
     def bad(check: str, msg: str) -> ValidationReport:
@@ -251,7 +255,7 @@ def validate_complex(cx: SphereComplex) -> ValidationReport:
 
     report = ValidationReport(True, [], notes={
         "V": len(cx.vertices), "E": len(cx.edges), "F": len(cx.tiles)})
-    memo["validated"] = report
+    m["validated"] = report
     return report
 
 
@@ -304,9 +308,9 @@ class DualSkeleton:
 
 def dual_skeleton(cx: SphereComplex) -> DualSkeleton:
     """Dualize a validated complex; faces are labeled by primal vertices."""
-    memo = cx._cache()
-    if "dual" in memo:
-        return memo["dual"]
+    m = memo(cx)
+    if "dual" in m:
+        return m["dual"]
     require_valid(cx)
     loc = cx.dart_location()
     dart_tile = {d: t for d, (t, _) in loc.items()}
@@ -357,7 +361,7 @@ def dual_skeleton(cx: SphereComplex) -> DualSkeleton:
         raise ValidationFailure("dual faces do not match primal vertices",
                                 check="duality")
     dual = DualSkeleton(cx, dart_tile, rotation, face_of, tuple(labels))
-    memo["dual"] = dual
+    m["dual"] = dual
     return dual
 
 

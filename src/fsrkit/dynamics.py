@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from math import lcm
 
+from .complexes import memo
 from .digraphs import (
     Arc,
     CertifiedValue,
@@ -29,21 +30,23 @@ from .rules import RuleIndex, SubdivisionRule, require_valid_rule
 BandLabel = tuple[str, frozenset]  # (tile id, {walk position i, j})
 
 
-def build_edge_digraph(rule: SubdivisionRule,
-                       index: RuleIndex | None = None) -> DynDigraph:
-    """One vertex per level-0 edge, one arc per level-1 subedge."""
-    index = index or require_valid_rule(rule)
-    arcs = []
-    for e0 in sorted(rule.level0.edges):
-        for (e1, _) in index.path[e0]:
-            arcs.append(Arc(e0, rule.map_edges[e1].edge, tag=e1))
-    return DynDigraph(sorted(rule.level0.edges), arcs)
+def build_edge_digraph(rule: SubdivisionRule) -> DynDigraph:
+    """One vertex per level-0 edge, one arc per level-1 subedge.  Memoized
+    on the rule: callers share the digraph and must not modify it."""
+    m = memo(rule)
+    if "edge_digraph" not in m:
+        index = require_valid_rule(rule)
+        arcs = []
+        for e0 in sorted(rule.level0.edges):
+            for (e1, _) in index.path[e0]:
+                arcs.append(Arc(e0, rule.map_edges[e1].edge, tag=e1))
+        m["edge_digraph"] = DynDigraph(sorted(rule.level0.edges), arcs)
+    return m["edge_digraph"]
 
 
-def build_tile_digraph(rule: SubdivisionRule,
-                       index: RuleIndex | None = None) -> DynDigraph:
+def build_tile_digraph(rule: SubdivisionRule) -> DynDigraph:
     """One vertex per level-0 tile, one arc per level-1 subtile."""
-    index = index or require_valid_rule(rule)
+    index = require_valid_rule(rule)
     arcs = []
     for t0 in sorted(rule.level0.tiles):
         for t1 in index.interior_tiles[t0]:
@@ -73,10 +76,9 @@ def subtile_boundary_positions(rule: SubdivisionRule, index: RuleIndex,
     return out
 
 
-def build_band_digraph(rule: SubdivisionRule,
-                       index: RuleIndex | None = None) -> DynDigraph:
+def build_band_digraph(rule: SubdivisionRule) -> DynDigraph:
     """One vertex per level-0 band, one arc per level-1 subband."""
-    index = index or require_valid_rule(rule)
+    index = require_valid_rule(rule)
     bands = level0_bands(rule)
     arcs = []
     for t0 in sorted(rule.level0.tiles):
@@ -104,24 +106,20 @@ def build_band_digraph(rule: SubdivisionRule,
 # ---------------------------------------------------------------------------
 
 
-def has_polynomial_growth(rule: SubdivisionRule,
-                          index: RuleIndex | None = None) -> bool:
+def has_polynomial_growth(rule: SubdivisionRule) -> bool:
     """Sub-exponential growth of edge subdivisions: cycles of E are disjoint."""
-    return cycles_are_disjoint(build_edge_digraph(rule, index))
+    return cycles_are_disjoint(build_edge_digraph(rule))
 
 
-def edge_growth_classes(rule: SubdivisionRule,
-                        index: RuleIndex | None = None
-                        ) -> dict[str, GrowthClass]:
-    g = build_edge_digraph(rule, index)
+def edge_growth_classes(rule: SubdivisionRule) -> dict[str, GrowthClass]:
+    g = build_edge_digraph(rule)
     return {e: growth_class(g, e) for e in rule.level0.edges}
 
 
 def edge_growth_rate(rule: SubdivisionRule, e0: str,
-                     index: RuleIndex | None = None,
                      tol: float = 1e-10) -> CertifiedValue:
     """rho(e) = lim |R^n(e)|^(1/n), certified; exact 1.0 in the polynomial case."""
-    g = build_edge_digraph(rule, index)
+    g = build_edge_digraph(rule)
     cls = growth_class(g, e0)
     if cls.kind == "polynomial":
         return CertifiedValue(1.0, 1.0, 1.0)
@@ -130,10 +128,9 @@ def edge_growth_rate(rule: SubdivisionRule, e0: str,
     return spectral_radius(sub.adjacency_matrix(keep), tol=tol)
 
 
-def recurrency_periods(rule: SubdivisionRule,
-                       index: RuleIndex | None = None) -> dict[str, int]:
+def recurrency_periods(rule: SubdivisionRule) -> dict[str, int]:
     """Cycle length through [e] for each recurrent edge (polynomial regime)."""
-    g = build_edge_digraph(rule, index)
+    g = build_edge_digraph(rule)
     if not cycles_are_disjoint(g):
         raise UnsupportedRegime(
             "recurrency periods are defined only for disjoint cycles "
@@ -141,10 +138,9 @@ def recurrency_periods(rule: SubdivisionRule,
     return {e: cycle_period(g, e) for e in sorted(recurrent_vertices(g))}
 
 
-def stability_threshold(rule: SubdivisionRule,
-                        index: RuleIndex | None = None) -> int:
+def stability_threshold(rule: SubdivisionRule) -> int:
     """K = max lcm of recurrency periods over pairs of recurrent edges."""
-    periods = recurrency_periods(rule, index)
+    periods = recurrency_periods(rule)
     if not periods:
         return 0
     vals = sorted(periods.values())
@@ -155,15 +151,14 @@ def stability_threshold(rule: SubdivisionRule,
     return best
 
 
-def subedge_counts(rule: SubdivisionRule, n_max: int,
-                   index: RuleIndex | None = None) -> Iterator[dict[str, int]]:
+def subedge_counts(rule: SubdivisionRule, n_max: int) -> Iterator[dict[str, int]]:
     """|R^n(e)| for every level-0 edge e, for n = 0 .. n_max in turn.
 
     A level-n subedge of e is a path of length n from e in the edge digraph,
     so counts_n[e] = sum over arcs e -> f of counts_(n-1)[f], from
     counts_0 = 1: the row sums of A^n.  The counts are Python ints, which
     stay exact where int64 would wrap (from n = 63 on doubling_edge)."""
-    g = build_edge_digraph(rule, index)
+    g = build_edge_digraph(rule)
     counts = dict.fromkeys(g.vertices, 1)
     yield counts
     for _ in range(n_max):
@@ -174,8 +169,7 @@ def subedge_counts(rule: SubdivisionRule, n_max: int,
         yield counts
 
 
-def subdivision_edge_count(rule: SubdivisionRule, e0: str, n: int,
-                           index: RuleIndex | None = None) -> int:
+def subdivision_edge_count(rule: SubdivisionRule, e0: str, n: int) -> int:
     """|R^n(e)|: number of level-n subedges of e (paths of length n in E)."""
-    *_, counts = subedge_counts(rule, n, index)
+    *_, counts = subedge_counts(rule, n)
     return counts[e0]

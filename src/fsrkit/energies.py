@@ -39,12 +39,10 @@ from .errors import (
 )
 from .multicurves import MulticurveSpec, lambda_p
 from .rules import (
-    RuleIndex,
     SubdivisionRule,
     Tower,
     classify_vertices,
     power,
-    require_valid_rule,
     shift,
 )
 from .spines import recurrent_edge_ids
@@ -169,46 +167,25 @@ def dual_conformal_graph(rule: SubdivisionRule, tower: Tower, n: int, p: float,
                           p, lengths)
 
 
-def _ancestor_cell(tower: Tower, cell: str, kind: str, from_level: int,
-                   to_level: int) -> tuple[str, str, int]:
-    """Ancestor cell at the target level, with the edge-orientation product
-    accumulated along edge-in-edge steps."""
-    cur, cur_kind, lev = cell, kind, from_level
-    orient = PLUS
-    while lev > to_level:
-        lvc = tower.up_to(lev)
-        info = {"vertex": lvc.vinfo, "edge": lvc.einfo,
-                "tile": lvc.tinfo}[cur_kind][cur]
-        if cur_kind == "edge" and info.parent_kind == "edge":
-            orient *= info.rel_orient
-        if cur_kind == "vertex" and info.parent == cur:
-            lev -= 1
-            continue
-        cur, cur_kind = info.parent, info.parent_kind
-        lev -= 1
-    return cur, cur_kind, orient
-
-
 def natural_representative(rule: SubdivisionRule, n: int, m: int,
-                           tower: Tower | None = None, p: float = 2.0,
+                           p: float = 2.0,
                            base_lengths: dict[str, Fraction] | None = None
                            ) -> PLGraphMap:
     """phi^n_m: level-n dual -> level-m dual.  A dual edge maps onto the dual
     of its level-m ancestor edge, or collapses when the ancestor is a tile."""
     if not n > m >= 0:
         raise ValidationFailure("need n > m >= 0", check="levels")
-    tower = tower or Tower.build(rule)
+    tower = Tower.of(rule)
     gn = dual_conformal_graph(rule, tower, n, p, base_lengths)
     gm = dual_conformal_graph(rule, tower, m, p, base_lengths)
     lvn = tower.up_to(n)
 
     vertex_image = {}
     for t in lvn.complex.tiles:
-        anc, kind, _ = _ancestor_cell(tower, t, "tile", n, m)
-        vertex_image[t] = anc
+        vertex_image[t] = tower.ancestor(t, "tile", n, m)[1]
     action: dict[str, Onto | Collapse] = {}
     for e in lvn.complex.edges:
-        anc, kind, orient = _ancestor_cell(tower, e, "edge", n, m)
+        kind, anc, orient = tower.ancestor(e, "edge", n, m)
         if kind == "edge":
             action[e] = Onto(anc, orient)
         elif kind == "tile":
@@ -218,10 +195,9 @@ def natural_representative(rule: SubdivisionRule, n: int, m: int,
     return PLGraphMap(gn, gm, vertex_image, action)
 
 
-def e1_exact(rule: SubdivisionRule, n: int,
-             index: RuleIndex | None = None) -> int:
+def e1_exact(rule: SubdivisionRule, n: int) -> int:
     """E^1 of the level-n natural representative: max subedge count."""
-    *_, counts = subedge_counts(rule, n, index)
+    *_, counts = subedge_counts(rule, n)
     return max(counts.values())
 
 
@@ -230,59 +206,7 @@ def e1_exact(rule: SubdivisionRule, n: int,
 # ---------------------------------------------------------------------------
 
 
-def subdivision_total_order(rule: SubdivisionRule,
-                            index: RuleIndex | None = None) -> list[str]:
-    """Linear extension of the subdivision preorder on level-0 edges.
-
-    Requires every cycle of the edge digraph to be a loop; ranks increase
-    along arcs, ties broken lexicographically."""
-    index = index or require_valid_rule(rule)
-    g = build_edge_digraph(rule, index)
-    periods = recurrency_periods(rule, index)
-    if any(per != 1 for per in periods.values()):
-        raise UnsupportedRegime(
-            "total order requires loop cycles; replace the rule by a power")
-    succ: dict[str, set[str]] = {e: set() for e in rule.level0.edges}
-    indeg: dict[str, int] = {e: 0 for e in rule.level0.edges}
-    for a in g.arcs:
-        if a.src != a.dst and a.dst not in succ[a.src]:
-            succ[a.src].add(a.dst)
-    for e, out in succ.items():
-        for x in out:
-            indeg[x] += 1
-    ready = sorted(e for e, d in indeg.items() if d == 0)
-    order: list[str] = []
-    while ready:
-        e = ready.pop(0)
-        order.append(e)
-        for x in sorted(succ[e]):
-            indeg[x] -= 1
-            if indeg[x] == 0:
-                ready.append(x)
-        ready.sort()
-    if len(order) != len(rule.level0.edges):
-        raise InternalInconsistency("subdivision preorder has a non-loop cycle")
-    return order
-
-
-def k_expanding_length(rule: SubdivisionRule, k_factor: int,
-                       index: RuleIndex | None = None
-                       ) -> tuple[dict[str, Fraction], list[str]]:
-    """alpha(e) = (2K)^rank(e) along a total order extending the preorder."""
-    if k_factor <= 1:
-        raise ValidationFailure("K must exceed 1", check="parameters")
-    order = subdivision_total_order(rule, index)
-    alpha = {e: Fraction(2 * k_factor) ** r for r, e in enumerate(order)}
-    for hi_edge in order:
-        for lo_edge in order:
-            if alpha[hi_edge] > alpha[lo_edge]:
-                if not alpha[hi_edge] > k_factor * alpha[lo_edge]:
-                    raise InternalInconsistency("K-expanding property failed")
-    return alpha, order
-
-
 def chain_rank_lengths(rule: SubdivisionRule, k_factor: int,
-                       index: RuleIndex | None = None,
                        boost_above: dict[str, list[str]] | None = None
                        ) -> dict[str, Fraction]:
     """alpha(e) = (2K)^rank(e) with ranks from longest chains of the
@@ -295,9 +219,8 @@ def chain_rank_lengths(rule: SubdivisionRule, k_factor: int,
     retraction's removed edge dominate its Julia star)."""
     if k_factor <= 1:
         raise ValidationFailure("K must exceed 1", check="parameters")
-    index = index or require_valid_rule(rule)
-    g = build_edge_digraph(rule, index)
-    periods = recurrency_periods(rule, index)
+    g = build_edge_digraph(rule)
+    periods = recurrency_periods(rule)
     if any(per != 1 for per in periods.values()):
         raise UnsupportedRegime(
             "chain ranks require loop cycles; replace the rule by a power")
@@ -449,11 +372,11 @@ class CertificateReport:
     notes: dict = field(default_factory=dict)
 
 
-def _transform_for_certificate(rule: SubdivisionRule, index: RuleIndex
+def _transform_for_certificate(rule: SubdivisionRule
                                ) -> tuple[SubdivisionRule, int, int]:
     """Power the rule until edge cycles are loops, then shift past the
     stability threshold.  Returns (rule, power k1, shift s)."""
-    periods = recurrency_periods(rule, index)
+    periods = recurrency_periods(rule)
     k1 = 1
     for per in periods.values():
         k1 = k1 * per // math.gcd(k1, per)
@@ -502,8 +425,7 @@ DEFAULT_K_GRID = (4, 16, 64, 256, 1024)
 
 
 def crochet_certificate(rule: SubdivisionRule, p: float,
-                        k_factor: int | None = None,
-                        index: RuleIndex | None = None) -> CertificateReport:
+                        k_factor: int | None = None) -> CertificateReport:
     """Certified upper bound on the asymptotic p-conformal energy via the
     K-expanding deformation of the dual virtual endomorphism.
 
@@ -514,14 +436,13 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
     if not (1 < p < inf):
         raise ValidationFailure("certificate needs 1 < p < infinity",
                                 check="exponent")
-    index = index or require_valid_rule(rule)
-    if not has_polynomial_growth(rule, index):
+    if not has_polynomial_growth(rule):
         raise UnsupportedRegime("certificate requires polynomial edge growth")
 
     if k_factor is None:
         best: CertificateReport | None = None
         for k in DEFAULT_K_GRID:
-            rep = crochet_certificate(rule, p, k_factor=k, index=index)
+            rep = crochet_certificate(rule, p, k_factor=k)
             if rep.certified:
                 return rep
             if best is None or rep.bound < best.bound:
@@ -529,14 +450,13 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
         best.notes["search"] = "K grid exhausted without certification"
         return best
 
-    work, k1, s = _transform_for_certificate(rule, index)
-    widx = require_valid_rule(work)
-    classes = classify_vertices(work, widx)
-    tower = Tower.build(work)
+    work, k1, s = _transform_for_certificate(rule)
+    classes = classify_vertices(work)
+    tower = Tower.of(work)
 
     # Julia vertices: choose the edge to remove (a preorder-maximal incident
     # edge), then build lengths in which it dominates its star
-    eg = build_edge_digraph(work, widx)
+    eg = build_edge_digraph(work)
     from .digraphs import reachable_from as _reach
 
     removed: dict[str, str] = {}
@@ -568,7 +488,7 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
               if v in work.level0.edges[e]])
          for v in removed), default=0)
 
-    alpha = chain_rank_lengths(work, k_factor, widx, boost_above=boosts)
+    alpha = chain_rank_lengths(work, k_factor, boost_above=boosts)
     for v, e_long in removed.items():
         for e in work.level0.edges:
             if v in work.level0.edges[e] and e != e_long:
@@ -577,7 +497,7 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
                         "removed edge does not dominate its Julia star")
 
     g0 = dual_conformal_graph(work, tower, 0, p, alpha)
-    phi = natural_representative(work, 1, 0, tower, p, alpha)
+    phi = natural_representative(work, 1, 0, p, alpha)
     g1 = phi.domain
     lv0 = tower.up_to(0)
     dual0 = dual_skeleton(lv0.complex)
@@ -611,8 +531,8 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
     rho_envelope = ((max_julia_degree / k_factor) ** (p - 1.0) + 1.0) ** (1 / p)
 
     # spine data of the transformed rule at levels 0 and 1
-    rec0 = recurrent_edge_ids(work, widx, 0)
-    rec1 = recurrent_edge_ids(work, widx, 1)
+    rec0 = recurrent_edge_ids(work, 0)
+    rec1 = recurrent_edge_ids(work, 1)
     h0_edges = {e for e in g0.edges if e not in removed_edges}
     f0_edges = sorted(rec0 & h0_edges)
     h1_edges = {e for e in g1.edges
@@ -685,9 +605,8 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
             raise InternalInconsistency(f"no room to pull vertex {u}")
         pulls[u] = cap
 
-    psi = _deformed_map(work, tower, g0, g1, phi, alpha, h1_edges, f0_edges,
-                        rec_lift, blob_of, f1_vertex, parent_edge, roots,
-                        pulls, c_stag)
+    psi = _deformed_map(g0, g1, phi, h1_edges, rec_lift, blob_of, f1_vertex,
+                        parent_edge, pulls, c_stag)
     e_psi, worst_edge = piecewise_energy(psi, p)
 
     raw = e_rho * e_psi
@@ -844,9 +763,8 @@ def _forest_lift_vertices(g1, phi, blob_of, rec_lift) -> dict[str, str]:
     return f1_vertex
 
 
-def _deformed_map(work, tower, g0, g1, phi, alpha, h1_edges, f0_edges,
-                  rec_lift, blob_of, f1_vertex, parent_edge, roots,
-                  pulls, c_stag) -> PiecewiseMap:
+def _deformed_map(g0, g1, phi, h1_edges, rec_lift, blob_of, f1_vertex,
+                  parent_edge, pulls, c_stag) -> PiecewiseMap:
     """The deformation of phi restricted to the H1 edges, as exact pieces.
 
     Every non-root vertex u of the recurrent forest is pulled, with the
@@ -856,7 +774,6 @@ def _deformed_map(work, tower, g0, g1, phi, alpha, h1_edges, f0_edges,
     starts at the displaced child point.
     """
     psi = PiecewiseMap(g1, g0)
-    root_set = set(roots)
     rec_lift_edges = set(rec_lift.values())
     pulled_blob = {u: blob_of[t] for u, t in f1_vertex.items() if u in pulls}
 
@@ -967,9 +884,14 @@ class EnergyBound:
                 "inconsistent multicurve data")
 
 
+def _check_exponent(p: float) -> None:
+    if not p >= 1:      # also false for NaN
+        raise ValidationFailure(f"exponent p must be >= 1 or inf, got {p}",
+                                check="exponent")
+
+
 def natural_energy_levels(rule: SubdivisionRule, p: float, n_max: int,
-                          tower: Tower | None = None, *,
-                          index: RuleIndex | None = None) -> dict[int, float]:
+                          tower: Tower | None = None) -> dict[int, float]:
     """a_n = E^p_p of the level-n natural representative, unit base lengths,
     for n = 1 .. n_max, in closed form.
 
@@ -979,12 +901,12 @@ def natural_energy_levels(rule: SubdivisionRule, p: float, n_max: int,
     a_n = float(max_e |R^n(e)|) ** (1/p): the bare count at p = 1 and 1.0 at
     p = infinity, bitwise what ``energy_pp`` returns for the explicit map
     (``test_natural_levels_match_explicit_representative``).  Only the
-    rule's index is used: a passed tower is never extended.  A count beyond
-    the float range raises BudgetExceeded."""
-    if index is None:
-        index = tower.index if tower is not None else require_valid_rule(rule)
+    rule's index is used: ``tower`` is accepted and ignored.  A count beyond
+    the float range raises BudgetExceeded; p below 1 or NaN raises
+    ValidationFailure."""
+    _check_exponent(p)
     out = {}
-    for n, counts in enumerate(subedge_counts(rule, n_max, index)):
+    for n, counts in enumerate(subedge_counts(rule, n_max)):
         if n == 0:
             continue
         try:
@@ -998,18 +920,17 @@ def natural_energy_levels(rule: SubdivisionRule, p: float, n_max: int,
 
 
 def asymptotic_bounds(rule: SubdivisionRule, p: float, n_max: int = 4,
-                      multicurves: tuple[MulticurveSpec, ...] = (),
-                      index: RuleIndex | None = None,
-                      try_certificate: bool = True) -> EnergyBound:
+                      multicurves: tuple[MulticurveSpec, ...] = ()
+                      ) -> EnergyBound:
     """Certified bracket for the asymptotic p-conformal energy.
 
     Upper bounds come from natural representatives at levels up to n_max
     (by Fekete, each a_n^(1/n) bounds the limit) and, for p > 1 in the
     polynomial regime, from the deformation certificate.  Lower bounds come
-    from user-supplied multicurves via lambda_p^(1/p).
+    from user-supplied multicurves via lambda_p^(1/p).  p must be >= 1.
     """
-    index = index or require_valid_rule(rule)
-    poly = has_polynomial_growth(rule, index)
+    _check_exponent(p)
+    poly = has_polynomial_growth(rule)
 
     lower = None
     lower_source = ""
@@ -1027,10 +948,9 @@ def asymptotic_bounds(rule: SubdivisionRule, p: float, n_max: int = 4,
         return EnergyBound(p, 1.0, "polynomial growth: exact", max(lower or 1.0, 1.0),
                            lower_source or "trivial bound", certified=True,
                            exact=True,
-                           per_level=natural_energy_levels(rule, p, n_max,
-                                                           index=index))
+                           per_level=natural_energy_levels(rule, p, n_max))
 
-    per_level = natural_energy_levels(rule, p, n_max, index=index)
+    per_level = natural_energy_levels(rule, p, n_max)
     upper = None
     upper_source = ""
     for n, a in per_level.items():
@@ -1041,9 +961,9 @@ def asymptotic_bounds(rule: SubdivisionRule, p: float, n_max: int = 4,
 
     certificate = None
     certified = False
-    if try_certificate and poly and 1 < p < inf:
+    if poly and 1 < p < inf:
         try:
-            certificate = crochet_certificate(rule, p, index=index)
+            certificate = crochet_certificate(rule, p)
         except (UnsupportedRegime, ValidationFailure):
             certificate = None
         if certificate is not None and certificate.certified:

@@ -10,7 +10,7 @@ quotient are the induced subgraphs on the surviving types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import Dart, MINUS, PLUS, SphereComplex, flip
 from .digraphs import radical_closure
@@ -23,12 +23,12 @@ from .dynamics import (
 from .errors import InternalInconsistency, UnsupportedRegime, ValidationFailure
 from .rules import (
     EdgeImage,
-    RuleIndex,
     SubdivisionRule,
     TileImage,
     Tower,
     classify_vertices,
     julia_edges,
+    julia_tiles,
     require_valid_rule,
     validate_rule,
 )
@@ -101,18 +101,17 @@ def _subcomplex_components(cx: SphereComplex, edges: frozenset[str],
 
 
 def validate_collapsible(rule: SubdivisionRule, edges: frozenset[str],
-                         tiles: frozenset[str],
-                         index: RuleIndex | None = None) -> CollapsibleSubcomplex:
+                         tiles: frozenset[str]) -> CollapsibleSubcomplex:
     """Check the collapsibility conditions and assemble the subcomplex."""
-    index = index or require_valid_rule(rule)
+    require_valid_rule(rule)
     cx = rule.level0
     unknown = (edges - set(cx.edges)) | (tiles - set(cx.tiles))
     if unknown:
         raise ValidationFailure(f"unknown cells {sorted(unknown)}",
                                 check="subcomplex")
 
-    eg = build_edge_digraph(rule, index)
-    tg = build_tile_digraph(rule, index)
+    eg = build_edge_digraph(rule)
+    tg = build_tile_digraph(rule)
     if radical_closure(eg, edges) != set(edges):
         raise ValidationFailure("edge set is not a radical ideal of the "
                                 "edge-subdivision digraph", check="radical ideal")
@@ -141,7 +140,6 @@ def validate_collapsible(rule: SubdivisionRule, edges: frozenset[str],
 
 
 def collapsible_from_julia_edges(rule: SubdivisionRule,
-                                 index: RuleIndex | None = None,
                                  marked: frozenset[str] | None = None,
                                  skip_levy_check: bool = False
                                  ) -> CollapsibleSubcomplex:
@@ -153,19 +151,18 @@ def collapsible_from_julia_edges(rule: SubdivisionRule,
     """
     from .spines import is_levy_free
 
-    index = index or require_valid_rule(rule)
     if not skip_levy_check:
-        report = is_levy_free(rule, marked, index)
+        report = is_levy_free(rule, marked)
         if not report.levy_free:
             raise UnsupportedRegime(
                 "rule has a Levy obstruction; the Julia-edge collapse "
                 "requires a Levy-free rule")
-    classes = classify_vertices(rule, index)
+    classes = classify_vertices(rule)
     marked = frozenset(marked) if marked is not None else rule.marked
 
-    eg = build_edge_digraph(rule, index)
-    seeds = {e for e in julia_edges(rule, index, classes)
-             if edge_growth_rate(rule, e, index).value == 1.0}
+    eg = build_edge_digraph(rule)
+    seeds = {e for e in julia_edges(rule)
+             if edge_growth_rate(rule, e).value == 1.0}
     x_edges = frozenset(radical_closure(eg, seeds))
 
     if not x_edges:
@@ -173,7 +170,7 @@ def collapsible_from_julia_edges(rule: SubdivisionRule,
 
     # Jordan curves inside the edge set: vertex-simple cycles of X_E edges
     cx = rule.level0
-    jtiles = julia_tiles_of(rule, index, classes)
+    jtiles = julia_tiles(rule)
     x_tiles: set[str] = set()
     for cycle_edges in _simple_edge_cycles(cx, x_edges):
         side_a, side_b = _tile_sides(cx, cycle_edges)
@@ -196,13 +193,7 @@ def collapsible_from_julia_edges(rule: SubdivisionRule,
                 "collapsing sides; theorem hypotheses violated")
         x_tiles |= choices[0]["tiles"]
 
-    return validate_collapsible(rule, x_edges, frozenset(x_tiles), index)
-
-
-def julia_tiles_of(rule, index, classes):
-    from .rules import julia_tiles
-
-    return julia_tiles(rule, index, classes)
+    return validate_collapsible(rule, x_edges, frozenset(x_tiles))
 
 
 def _cycle_vertices(cx: SphereComplex, cycle_edges: frozenset[str]) -> set[str]:
@@ -303,13 +294,13 @@ def _component_name(cells: tuple[str, ...]) -> str:
     return "q(" + min(c[2:] for c in cells) + ")"
 
 
-def quotient_rule(rule: SubdivisionRule, x: CollapsibleSubcomplex,
-                  index: RuleIndex | None = None) -> QuotientResult:
+def quotient_rule(rule: SubdivisionRule, x: CollapsibleSubcomplex
+                  ) -> QuotientResult:
     """Collapse each component of X (and of its level-1 preimage) to a point."""
-    index = index or require_valid_rule(rule)
+    require_valid_rule(rule)
     if x.is_empty():
         return QuotientResult(rule, {}, {})
-    x = validate_collapsible(rule, x.edges, x.tiles, index)
+    x = validate_collapsible(rule, x.edges, x.tiles)
     c0, c1 = rule.level0, rule.level1
 
     comps0 = _subcomplex_components(c0, x.edges, x.tiles)
@@ -558,21 +549,6 @@ def vertex_sequence_on_edge(tower: Tower, e0: str, level: int) -> list[str]:
     return seq
 
 
-def _level0_host(tower: Tower, cell: str, birth_level: int) -> tuple[str, str]:
-    """(kind, id) of the level-0 cell whose open cell contains the vertex."""
-    cur, kind, lev = cell, "vertex", birth_level
-    while lev > 0:
-        lvc = tower.up_to(lev)
-        info = {"vertex": lvc.vinfo, "edge": lvc.einfo,
-                "tile": lvc.tinfo}[kind][cur]
-        if kind == "vertex" and info.parent == cur:
-            lev -= 1
-            continue
-        cur, kind = info.parent, info.parent_kind
-        lev -= 1
-    return kind, cur
-
-
 def _birth_level(tower: Tower, vid: str, max_level: int) -> int:
     for j in range(max_level + 1):
         if vid in tower.up_to(j).vinfo:
@@ -580,8 +556,8 @@ def _birth_level(tower: Tower, vid: str, max_level: int) -> int:
     raise InternalInconsistency(f"vertex {vid} not found below level {max_level}")
 
 
-def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]],
-                     index: RuleIndex | None = None) -> SubdivisionRule:
+def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]]
+                     ) -> SubdivisionRule:
     """Refine the rule by adding forward orbits of subdivision vertices.
 
     ``seed_points`` lists (level-n vertex id, level n).  The forward orbit of
@@ -589,10 +565,7 @@ def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]],
     host the new points; the level-1 complex is split compatibly at the
     preimages of all new points.
     """
-    index = index or require_valid_rule(rule)
-    tower = Tower.build(rule)
-    f0 = {v: rule.map_vertices[index.vertex_copy[v]]
-          for v in rule.level0.vertices}
+    tower = Tower.of(rule)
 
     # forward orbits down to level 0, then inside the level-0 vertex set
     points: dict[str, int] = {}   # vertex id -> birth level
@@ -613,7 +586,7 @@ def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]],
     # locate each new point on its hosting level-0 edge
     split0: dict[str, list[str]] = {}
     for vid, lev in sorted(points.items()):
-        kind, host = _level0_host(tower, vid, lev)
+        kind, host, _ = tower.ancestor(vid, "vertex", lev, 0)
         if kind != "edge":
             raise InternalInconsistency(
                 f"orbit point {vid} lies inside a {kind}; edge expected")
@@ -663,7 +636,7 @@ def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]],
     split1: dict[str, list[str]] = {}
     host1_of: dict[str, tuple[str, str]] = {}
     for vid, lev in sorted(w_points.items()):
-        kind, host, hlev = _host_at_level(tower, vid, lev, 1)
+        kind, host, _ = tower.ancestor(vid, "vertex", lev, 1)
         host1_of[vid] = (kind, host)
         if kind == "edge":
             split1.setdefault(host, []).append(vid)
@@ -823,22 +796,6 @@ def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]],
     return new_rule
 
 
-def _host_at_level(tower: Tower, vid: str, birth: int, target: int
-                   ) -> tuple[str, str, int]:
-    """Host cell of a vertex at the target level (kind, id, level)."""
-    cur, kind, lev = vid, "vertex", birth
-    while lev > target:
-        lvc = tower.up_to(lev)
-        info = {"vertex": lvc.vinfo, "edge": lvc.einfo,
-                "tile": lvc.tinfo}[kind][cur]
-        if kind == "vertex" and info.parent == cur:
-            lev -= 1
-            continue
-        cur, kind = info.parent, info.parent_kind
-        lev -= 1
-    return kind, cur, lev
-
-
 def _vertex_sequence_on_level1_edge(tower: Tower, e1: str, level: int
                                     ) -> list[str]:
     """Ordered level-n vertices along a level-1 edge."""
@@ -879,8 +836,7 @@ def _seg_host(tower, rule, c0, seg0, split0, ref, sid, t, h,
         f"segment {sid} of a split edge spans level-0 segments of {ref}")
 
 
-def isolate_julia_vertices(rule: SubdivisionRule,
-                           index: RuleIndex | None = None) -> SubdivisionRule:
+def isolate_julia_vertices(rule: SubdivisionRule) -> SubdivisionRule:
     """Make every Julia vertex isolated by adding Fatou vertex orbits.
 
     For each edge with two Julia endpoints, the first subdivision level
@@ -888,18 +844,17 @@ def isolate_julia_vertices(rule: SubdivisionRule,
     added to the level-0 vertex set.  One simultaneous pass suffices: every
     new edge segment has at least one Fatou endpoint.
     """
-    index = index or require_valid_rule(rule)
-    if julia_edges(rule, index):
+    if julia_edges(rule):
         raise UnsupportedRegime(
             "rule has Julia edges; collapse them first "
             "(collapsible_from_julia_edges + quotient_rule)")
-    classes = classify_vertices(rule, index)
+    classes = classify_vertices(rule)
     offending = [e for e, (a, b) in sorted(rule.level0.edges.items())
                  if not classes.is_fatou[a] and not classes.is_fatou[b]]
     if not offending:
         return rule
 
-    tower = Tower.build(rule)
+    tower = Tower.of(rule)
     seeds: list[tuple[str, int]] = []
     for e0 in offending:
         k = None
@@ -916,7 +871,7 @@ def isolate_julia_vertices(rule: SubdivisionRule,
             raise InternalInconsistency(
                 f"edge {e0} shows no Fatou subdivision vertex although it is "
                 "not a Julia edge")
-    refined = add_vertex_orbit(rule, seeds, index)
+    refined = add_vertex_orbit(rule, seeds)
     # one pass suffices; verify
     check = classify_vertices(refined)
     for e, (a, b) in refined.level0.edges.items():
@@ -935,7 +890,6 @@ class NormalizationResult:
 
 
 def normalize_for_energy(rule: SubdivisionRule,
-                         index: RuleIndex | None = None,
                          marked: frozenset[str] | None = None
                          ) -> NormalizationResult:
     """Collapse polynomial Julia edges, then isolate Julia vertices.
@@ -943,15 +897,14 @@ def normalize_for_energy(rule: SubdivisionRule,
     Requires polynomial edge growth and Levy-freeness; the output is
     combinatorially equivalent to the input (recorded as provenance).
     """
-    index = index or require_valid_rule(rule)
-    if not has_polynomial_growth(rule, index):
+    if not has_polynomial_growth(rule):
         raise UnsupportedRegime("normalization requires polynomial growth")
     steps: list[str] = []
-    x = collapsible_from_julia_edges(rule, index, marked=marked)
+    x = collapsible_from_julia_edges(rule, marked=marked)
     collapse0: dict[str, str] = {}
     cur = rule
     if not x.is_empty():
-        res = quotient_rule(rule, x, index)
+        res = quotient_rule(rule, x)
         cur = res.rule
         collapse0 = res.collapse_level0
         steps.append(f"collapsed {len(x.edges)} edge type(s) and "

@@ -9,7 +9,6 @@ straight chord.  Spine edges are drawn through tile barycenters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 

@@ -18,8 +18,8 @@ from .energies import asymptotic_bounds, e1_exact
 from .errors import FsrError
 from .multicurves import MulticurveSpec, classify_multicurve
 from .quotients import normalize_for_energy
-from .rules import SubdivisionRule, Tower, classify_vertices, julia_edges, \
-    julia_tiles, require_valid_rule, validate_rule
+from .rules import SubdivisionRule, classify_vertices, julia_edges, \
+    julia_tiles, validate_rule
 from .spines import is_levy_free, non_expanding_spine
 
 P_SAMPLES = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 8.0)
@@ -61,15 +61,14 @@ def analyze(rule: SubdivisionRule, p_samples: tuple[float, ...] = P_SAMPLES,
         return report
     report.valid = True
     report.degree = rep.notes["degree"]
-    index = require_valid_rule(rule)
 
     # growth
     report.stages.append("growth")
-    classes = edge_growth_classes(rule, index)
-    poly = has_polynomial_growth(rule, index)
+    classes = edge_growth_classes(rule)
+    poly = has_polynomial_growth(rule)
     growth: dict = {"polynomial": poly, "edges": {}}
     for e in sorted(rule.level0.edges):
-        rho = edge_growth_rate(rule, e, index)
+        rho = edge_growth_rate(rule, e)
         growth["edges"][e] = {
             "class": str(classes[e]),
             "rho": rho.value,
@@ -79,11 +78,11 @@ def analyze(rule: SubdivisionRule, p_samples: tuple[float, ...] = P_SAMPLES,
         0.0 if poly else max(math.log(v["rho"]) for v in
                              growth["edges"].values()))
     if poly:
-        growth["recurrency_periods"] = recurrency_periods(rule, index)
-        growth["stability_threshold"] = stability_threshold(rule, index)
+        growth["recurrency_periods"] = recurrency_periods(rule)
+        growth["stability_threshold"] = stability_threshold(rule)
     report.growth = growth
 
-    vc = classify_vertices(rule, index)
+    vc = classify_vertices(rule)
     report.vertices = {
         "fatou": sorted(vc.fatou),
         "julia": sorted(vc.julia),
@@ -92,8 +91,8 @@ def analyze(rule: SubdivisionRule, p_samples: tuple[float, ...] = P_SAMPLES,
         "hyperbolic_type": all(vc.is_fatou[v] for v in rule.marked),
     }
     report.julia_cells = {
-        "edges": sorted(julia_edges(rule, index, vc)),
-        "tiles": sorted(julia_tiles(rule, index, vc)),
+        "edges": sorted(julia_edges(rule)),
+        "tiles": sorted(julia_tiles(rule)),
     }
 
     # multicurve profiles (user data)
@@ -123,16 +122,14 @@ def analyze(rule: SubdivisionRule, p_samples: tuple[float, ...] = P_SAMPLES,
         report.spine = {"note": "exponential growth regime: spine and Levy "
                                 "decisions are not supported"}
         report.levy = {"note": "unsupported regime"}
-        report.energy = _energy_section(rule, index, p_samples, multicurves,
-                                        n_max)
+        report.energy = _energy_section(rule, p_samples, multicurves, n_max)
         report.arc = _arc_section(report)
         return report
 
     # Levy decision
     report.stages.append("levy")
-    tower = Tower.build(rule)
     try:
-        levy = is_levy_free(rule, index=index, tower=tower)
+        levy = is_levy_free(rule)
         report.levy = {
             "levy_free": levy.levy_free,
             "level": levy.level,
@@ -151,7 +148,7 @@ def analyze(rule: SubdivisionRule, p_samples: tuple[float, ...] = P_SAMPLES,
     base = rule
     if report.levy.get("levy_free"):
         try:
-            norm = normalize_for_energy(rule, index)
+            norm = normalize_for_energy(rule)
             report.normalization = {
                 "provenance": list(norm.provenance),
                 "collapsed_edges": sorted(norm.collapsed.edges),
@@ -168,8 +165,8 @@ def analyze(rule: SubdivisionRule, p_samples: tuple[float, ...] = P_SAMPLES,
     # spine summary (on the original rule)
     report.stages.append("spine")
     try:
-        k = max(stability_threshold(rule, index), 1)
-        spine = non_expanding_spine(rule, k, index, tower)
+        k = max(stability_threshold(rule), 1)
+        spine = non_expanding_spine(rule, k)
         report.spine = {
             "level": k,
             "empty": spine.is_empty(),
@@ -187,19 +184,17 @@ def analyze(rule: SubdivisionRule, p_samples: tuple[float, ...] = P_SAMPLES,
         report.errors["spine"] = str(exc)
 
     report.stages.append("energy")
-    base_index = require_valid_rule(base) if base is not rule else index
-    report.energy = _energy_section(base, base_index, p_samples, multicurves,
-                                    n_max)
+    report.energy = _energy_section(base, p_samples, multicurves, n_max)
     report.arc = _arc_section(report)
     return report
 
 
-def _energy_section(rule, index, p_samples, multicurves, n_max) -> dict:
+def _energy_section(rule, p_samples, multicurves, n_max) -> dict:
     out: dict = {"samples": {}, "monotone_envelope": {}}
     for p in p_samples:
         try:
             eb = asymptotic_bounds(rule, p, n_max=n_max,
-                                   multicurves=multicurves, index=index)
+                                   multicurves=multicurves)
             entry = {
                 "upper": eb.upper,
                 "upper_source": eb.upper_source,
@@ -236,7 +231,7 @@ def _energy_section(rule, index, p_samples, multicurves, n_max) -> dict:
                 "from_p": source_p,
                 "justification": "asymptotic energy is non-increasing in p",
             }
-    out["e1_levels"] = {str(n): e1_exact(rule, n, index)
+    out["e1_levels"] = {str(n): e1_exact(rule, n)
                         for n in range(1, n_max + 1)}
     return out
 

@@ -9,8 +9,8 @@ id and copies are addressed by the level-1 cell they replicate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Literal
+from dataclasses import dataclass, field
+from typing import Literal
 
 from .complexes import (
     Dart,
@@ -19,11 +19,10 @@ from .complexes import (
     SphereComplex,
     ValidationReport,
     flip,
-    require_valid,
-    sign_of,
+    memo,
     validate_complex,
 )
-from .errors import BudgetExceeded, InternalInconsistency, ValidationFailure
+from .errors import BudgetExceeded, ValidationFailure
 
 Kind = Literal["vertex", "edge", "tile"]
 
@@ -44,6 +43,14 @@ class TileImage:
 
 @dataclass(frozen=True)
 class SubdivisionRule:
+    """Level-0 and level-1 complexes with the carrier and the map between them.
+
+    A rule is immutable after construction: derive a changed rule with
+    ``dataclasses.replace``, never by editing its dicts in place.  Validation
+    (with the rule index), the edge digraph and the shared tower of
+    ``Tower.of`` are memoized per rule object, so each is computed once
+    however many stages ask."""
+
     name: str
     level0: SphereComplex
     level1: SphereComplex
@@ -69,7 +76,6 @@ class SubdivisionRule:
 class RuleIndex:
     """Derived combinatorics of a structurally valid rule."""
 
-    rule: SubdivisionRule
     degree: int
     vertex_copy: dict[str, str]                       # level-0 vertex -> level-1 copy
     path: dict[str, list[Dart]]                       # edge -> level-1 darts, tail->head
@@ -282,7 +288,7 @@ def build_rule_index(rule: SubdivisionRule) -> RuleIndex:
             check="degree")
     degree = degs[0]
 
-    return RuleIndex(rule, degree, vertex_copy, paths, path_interior,
+    return RuleIndex(degree, vertex_copy, paths, path_interior,
                      interior_vertices, interior_edges, interior_tiles,
                      expanded, expanded_orig, bmatch, attach, local_degree)
 
@@ -293,12 +299,22 @@ def build_rule_index(rule: SubdivisionRule) -> RuleIndex:
 
 
 def validate_rule(rule: SubdivisionRule) -> ValidationReport:
-    """Full structural check; on pass reports degree and critical vertices."""
+    """Full structural check; on pass reports degree and critical vertices.
+
+    The report, and on pass the rule index, are memoized on the rule."""
+    m = memo(rule)
+    if "validated" not in m:
+        m["validated"], m["index"] = _check_rule(rule)
+    return m["validated"]
+
+
+def _check_rule(rule: SubdivisionRule
+                ) -> tuple[ValidationReport, RuleIndex | None]:
     fails: list[tuple[str, str]] = []
 
-    def fail(check: str, msg: str) -> ValidationReport:
+    def fail(check: str, msg: str) -> tuple[ValidationReport, None]:
         fails.append((check, msg))
-        return ValidationReport(False, fails)
+        return ValidationReport(False, fails), None
 
     for cx, name in ((rule.level0, "level0"), (rule.level1, "level1")):
         rep = validate_complex(cx)
@@ -444,15 +460,17 @@ def validate_rule(rule: SubdivisionRule) -> ValidationReport:
     return ValidationReport(True, [], notes={
         "degree": index.degree,
         "critical_vertices": tuple(critical),
-    })
+    }), index
 
 
 def require_valid_rule(rule: SubdivisionRule) -> RuleIndex:
+    """The rule's index; raises ValidationFailure, on every call, for an
+    invalid rule."""
     rep = validate_rule(rule)
     if not rep.ok:
         raise ValidationFailure(f"rule {rule.name}: {rep.summary()}",
                                 check=rep.first_failure or "")
-    return build_rule_index(rule)
+    return memo(rule)["index"]
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +709,19 @@ class Tower:
     @classmethod
     def build(cls, rule: SubdivisionRule, budget: int = DEFAULT_CELL_BUDGET
               ) -> "Tower":
+        """A cold tower of its own, bounded by ``budget`` cells per level."""
         index = require_valid_rule(rule)
         return cls(rule, index, [level_zero(rule)], budget)
+
+    @classmethod
+    def of(cls, rule: SubdivisionRule) -> "Tower":
+        """The rule's shared tower at the default budget: its levels list is
+        memoized on the rule, so every caller extends the same levels."""
+        index = require_valid_rule(rule)
+        m = memo(rule)
+        if "levels" not in m:
+            m["levels"] = [level_zero(rule)]
+        return cls(rule, index, m["levels"])
 
     def up_to(self, n: int) -> LeveledComplex:
         while len(self.levels) <= n:
@@ -700,6 +729,23 @@ class Tower:
                 subdivide_once(self.rule, self.index, self.levels[-1],
                                self.budget))
         return self.levels[n]
+
+    def ancestor(self, cell: str, kind: Kind, from_level: int, to_level: int
+                 ) -> tuple[Kind, str, int]:
+        """(kind, id, orient) of the level-``to_level`` cell whose open cell
+        contains the level-``from_level`` cell; orient is the product of the
+        edge-in-edge orientations along the way.  A persisting vertex is its
+        own parent, so it stays a vertex."""
+        self.up_to(from_level)
+        orient = PLUS
+        for lev in range(from_level, to_level, -1):
+            lv = self.levels[lev]
+            info = {"vertex": lv.vinfo, "edge": lv.einfo,
+                    "tile": lv.tinfo}[kind][cell]
+            if kind == "edge" and info.parent_kind == "edge":
+                orient *= info.rel_orient
+            cell, kind = info.parent, info.parent_kind
+        return kind, cell, orient
 
 
 def subdivide(rule: SubdivisionRule, n: int,
@@ -731,9 +777,8 @@ class VertexClass:
         return frozenset(v for v, b in self.is_fatou.items() if not b)
 
 
-def classify_vertices(rule: SubdivisionRule,
-                      index: RuleIndex | None = None) -> VertexClass:
-    index = index or require_valid_rule(rule)
+def classify_vertices(rule: SubdivisionRule) -> VertexClass:
+    index = require_valid_rule(rule)
     f0 = _vertex_dynamics(rule, index)
     local = {v: index.local_degree[index.vertex_copy[v]]
              for v in rule.level0.vertices}
@@ -775,11 +820,10 @@ def _edge_reach(rule: SubdivisionRule, index: RuleIndex, e0: str) -> set[str]:
     return seen
 
 
-def julia_edges(rule: SubdivisionRule, index: RuleIndex | None = None,
-                classes: VertexClass | None = None) -> frozenset[str]:
+def julia_edges(rule: SubdivisionRule) -> frozenset[str]:
     """Edges whose subdivisions never contain a Fatou vertex."""
-    index = index or require_valid_rule(rule)
-    classes = classes or classify_vertices(rule, index)
+    index = require_valid_rule(rule)
+    classes = classify_vertices(rule)
     out = set()
     for e0, (a, b) in rule.level0.edges.items():
         if classes.is_fatou[a] or classes.is_fatou[b]:
@@ -792,11 +836,10 @@ def julia_edges(rule: SubdivisionRule, index: RuleIndex | None = None,
     return frozenset(out)
 
 
-def julia_tiles(rule: SubdivisionRule, index: RuleIndex | None = None,
-                classes: VertexClass | None = None) -> frozenset[str]:
-    index = index or require_valid_rule(rule)
-    classes = classes or classify_vertices(rule, index)
-    jedges = julia_edges(rule, index, classes)
+def julia_tiles(rule: SubdivisionRule) -> frozenset[str]:
+    index = require_valid_rule(rule)
+    classes = classify_vertices(rule)
+    jedges = julia_edges(rule)
 
     def tile_reach(t0: str) -> set[str]:
         seen = {t0}
@@ -847,12 +890,11 @@ def julia_tiles(rule: SubdivisionRule, index: RuleIndex | None = None,
 # ---------------------------------------------------------------------------
 
 
-def shift(rule: SubdivisionRule, k: int,
-          budget: int = DEFAULT_CELL_BUDGET) -> SubdivisionRule:
+def shift(rule: SubdivisionRule, k: int) -> SubdivisionRule:
     """Rule with level-0 = R^k(S), level-1 = R^{k+1}(S), map f."""
     if k < 1:
         raise ValueError("shift exponent must be >= 1")
-    tower = Tower.build(rule, budget)
+    tower = Tower.of(rule)
     lo = tower.up_to(k)
     hi = tower.up_to(k + 1)
 
@@ -875,27 +917,19 @@ def shift(rule: SubdivisionRule, k: int,
         metadata={**rule.metadata, "shift_of": rule.name, "shift": k})
 
 
-def power(rule: SubdivisionRule, k: int,
-          budget: int = DEFAULT_CELL_BUDGET) -> SubdivisionRule:
+def power(rule: SubdivisionRule, k: int) -> SubdivisionRule:
     """Rule with level-0 = S, level-1 = R^k(S), map f^k."""
     if k < 1:
         raise ValueError("power exponent must be >= 1")
-    tower = Tower.build(rule, budget)
+    tower = Tower.of(rule)
     hi = tower.up_to(k)
 
-    def ancestor(cell: str, kind: Kind) -> tuple[Kind, str]:
-        cur, cur_kind, lev = cell, kind, hi.level
-        while lev > 0:
-            lvc = tower.up_to(lev)
-            inf = {"vertex": lvc.vinfo, "edge": lvc.einfo,
-                   "tile": lvc.tinfo}[cur_kind][cur]
-            cur, cur_kind = inf.parent, inf.parent_kind
-            lev -= 1
-        return (cur_kind, cur)
+    def carrier(cell: str, kind: Kind) -> tuple[Kind, str]:
+        return tower.ancestor(cell, kind, k, 0)[:2]
 
-    carrier_vertices = {v: ancestor(v, "vertex") for v in hi.complex.vertices}
-    carrier_edges = {e: ancestor(e, "edge") for e in hi.complex.edges}
-    carrier_tiles = {t: ancestor(t, "tile")[1] for t in hi.complex.tiles}
+    carrier_vertices = {v: carrier(v, "vertex") for v in hi.complex.vertices}
+    carrier_edges = {e: carrier(e, "edge") for e in hi.complex.edges}
+    carrier_tiles = {t: carrier(t, "tile")[1] for t in hi.complex.tiles}
     map_vertices = {v: info.type_cell for v, info in hi.vinfo.items()}
     map_edges = {e: EdgeImage(info.type_cell, info.type_orient)
                  for e, info in hi.einfo.items()}

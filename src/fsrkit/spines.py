@@ -29,7 +29,6 @@ from .complexes import (
 )
 from .digraphs import DynDigraph, reachable_from
 from .dynamics import (
-    BandLabel,
     build_band_digraph,
     build_edge_digraph,
     has_polynomial_growth,
@@ -40,17 +39,8 @@ from .errors import (
     BudgetExceeded,
     InternalInconsistency,
     UnsupportedRegime,
-    ValidationFailure,
 )
-from .rules import (
-    LeveledComplex,
-    RuleIndex,
-    SubdivisionRule,
-    Tower,
-    VertexClass,
-    classify_vertices,
-    require_valid_rule,
-)
+from .rules import LeveledComplex, SubdivisionRule, Tower, classify_vertices
 
 CYCLE_ENUM_CAP = 100_000
 
@@ -96,10 +86,10 @@ def _recurrent_paths(g: DynDigraph, start, n: int, cap: int) -> list[list]:
     return out
 
 
-def recurrent_edge_ids(rule: SubdivisionRule, index: RuleIndex, n: int,
+def recurrent_edge_ids(rule: SubdivisionRule, n: int,
                        cap: int = CYCLE_ENUM_CAP) -> frozenset[str]:
     """Ids of recurrent level-n subedges of level-0 edges."""
-    g = build_edge_digraph(rule, index)
+    g = build_edge_digraph(rule)
     out: set[str] = set()
     for e0 in sorted(rule.level0.edges):
         for tags in _recurrent_paths(g, e0, n, cap):
@@ -110,10 +100,10 @@ def recurrent_edge_ids(rule: SubdivisionRule, index: RuleIndex, n: int,
     return frozenset(out)
 
 
-def recurrent_bands(rule: SubdivisionRule, index: RuleIndex, n: int,
+def recurrent_bands(rule: SubdivisionRule, n: int,
                     cap: int = CYCLE_ENUM_CAP) -> list[tuple[str, frozenset]]:
     """Recurrent level-n bands as (level-n tile id, walk position pair)."""
-    g = build_band_digraph(rule, index)
+    g = build_band_digraph(rule)
     out: list[tuple[str, frozenset]] = []
     for b0 in g.vertices:
         t0, pos = b0
@@ -127,12 +117,9 @@ def recurrent_bands(rule: SubdivisionRule, index: RuleIndex, n: int,
     return sorted(set(out), key=lambda b: (b[0], sorted(b[1])))
 
 
-def recurrent_cells(rule: SubdivisionRule, n: int,
-                    index: RuleIndex | None = None
+def recurrent_cells(rule: SubdivisionRule, n: int
                     ) -> tuple[frozenset[str], list[tuple[str, frozenset]]]:
-    index = index or require_valid_rule(rule)
-    return (recurrent_edge_ids(rule, index, n),
-            recurrent_bands(rule, index, n))
+    return recurrent_edge_ids(rule, n), recurrent_bands(rule, n)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +162,7 @@ def band_ends(lv: LeveledComplex, band: tuple[str, frozenset]) -> list[Dart]:
 
 def _component_shape(cx: SphereComplex, dual: DualSkeleton,
                      tiles: set[str], fulls: set[str],
-                     halves: list[Dart], marked_classes: VertexClass | None,
-                     ) -> SpineComponent:
+                     halves: list[Dart]) -> SpineComponent:
     deg = {t: 0 for t in tiles}
     ends_of: dict[str, list[str]] = {}
     for e in fulls:
@@ -264,8 +250,6 @@ def _orient_cycle(dual: DualSkeleton, tiles: set[str], edges: set[str]
 
 
 def non_expanding_spine(rule: SubdivisionRule, n: int,
-                        index: RuleIndex | None = None,
-                        tower: Tower | None = None,
                         enforce_threshold: bool = True) -> Spine:
     """Union of bones of recurrent level-n bands, with components classified.
 
@@ -273,21 +257,19 @@ def non_expanding_spine(rule: SubdivisionRule, n: int,
     refused (the truncation identity is only guaranteed from K on); pass
     ``enforce_threshold=False`` for diagnostic use.
     """
-    index = index or require_valid_rule(rule)
-    poly = has_polynomial_growth(rule, index)
+    poly = has_polynomial_growth(rule)
     if poly and enforce_threshold:
-        k = stability_threshold(rule, index)
+        k = stability_threshold(rule)
         if n < k:
             raise BelowThreshold(
                 f"level {n} is below stability threshold {k}", threshold=k)
 
-    tower = tower or Tower.build(rule)
-    lv = tower.up_to(n)
+    lv = Tower.of(rule).up_to(n)
     cx = lv.complex
     dual = dual_skeleton(cx)
 
-    rec_edges = recurrent_edge_ids(rule, index, n)
-    bands = recurrent_bands(rule, index, n)
+    rec_edges = recurrent_edge_ids(rule, n)
+    bands = recurrent_bands(rule, n)
 
     ends: set[Dart] = set()
     for band in bands:
@@ -344,7 +326,7 @@ def non_expanding_spine(rule: SubdivisionRule, n: int,
         seen |= comp
         fulls = {e for e in full if dual.dart_tile[(e, PLUS)] in comp}
         halves = [d for t in comp for d in halves_by_tile.get(t, [])]
-        components.append(_component_shape(cx, dual, comp, fulls, halves, None))
+        components.append(_component_shape(cx, dual, comp, fulls, halves))
 
     gates = {}
     for t in sorted(touched):
@@ -353,7 +335,7 @@ def non_expanding_spine(rule: SubdivisionRule, n: int,
 
     notes: dict = {"bands": len(bands)}
     if poly:
-        notes["threshold"] = stability_threshold(rule, index)
+        notes["threshold"] = stability_threshold(rule)
         # truncation identity: at stable levels the spine equals the
         # 1/2-truncation of the dual recurrent skeleton
         p2 = 2 * notes["threshold"]
@@ -394,15 +376,11 @@ class DualRecurrentSkeleton:
     below_threshold: bool
 
 
-def dual_recurrent_skeleton(rule: SubdivisionRule, n: int,
-                            index: RuleIndex | None = None,
-                            tower: Tower | None = None) -> DualRecurrentSkeleton:
+def dual_recurrent_skeleton(rule: SubdivisionRule, n: int
+                            ) -> DualRecurrentSkeleton:
     """Subgraph of the level-n dual 1-skeleton spanned by recurrent duals."""
-    index = index or require_valid_rule(rule)
-    tower = tower or Tower.build(rule)
-    lv = tower.up_to(n)
-    dual = dual_skeleton(lv.complex)
-    rec = recurrent_edge_ids(rule, index, n)
+    dual = dual_skeleton(Tower.of(rule).up_to(n).complex)
+    rec = recurrent_edge_ids(rule, n)
 
     adj: dict[str, set[str]] = {}
     for e in rec:
@@ -428,8 +406,8 @@ def dual_recurrent_skeleton(rule: SubdivisionRule, n: int,
         comps.append((tuple(sorted(comp)), comp_edges))
     edge_comps = tuple(e for tiles, es in comps if len(es) == 1 for e in es)
     below = False
-    if has_polynomial_growth(rule, index):
-        below = n < stability_threshold(rule, index)
+    if has_polynomial_growth(rule):
+        below = n < stability_threshold(rule)
     return DualRecurrentSkeleton(n, rec, comps, edge_comps, below)
 
 
@@ -438,10 +416,7 @@ def dual_recurrent_skeleton(rule: SubdivisionRule, n: int,
 # ---------------------------------------------------------------------------
 
 
-def peripheral_cycles(rule: SubdivisionRule, n: int,
-                      index: RuleIndex | None = None,
-                      tower: Tower | None = None,
-                      classes: VertexClass | None = None
+def peripheral_cycles(rule: SubdivisionRule, n: int
                       ) -> dict[str, CombinatorialCurve]:
     """Level-n non-expanding cycle around each periodic Julia vertex.
 
@@ -450,13 +425,10 @@ def peripheral_cycles(rule: SubdivisionRule, n: int,
     tiles.  Corner subbands of a periodic Julia vertex are recurrent, so the
     cycle is supported in the spine; this is asserted.
     """
-    index = index or require_valid_rule(rule)
-    classes = classes or classify_vertices(rule, index)
-    tower = tower or Tower.build(rule)
-    lv = tower.up_to(n)
-    dual = dual_skeleton(lv.complex)
+    classes = classify_vertices(rule)
+    dual = dual_skeleton(Tower.of(rule).up_to(n).complex)
 
-    spine = non_expanding_spine(rule, n, index, tower, enforce_threshold=False)
+    spine = non_expanding_spine(rule, n, enforce_threshold=False)
 
     out: dict[str, CombinatorialCurve] = {}
     for v in sorted(rule.level0.vertices):
@@ -496,16 +468,10 @@ def peripheral_cycles(rule: SubdivisionRule, n: int,
 
 
 def classify_cycle(rule: SubdivisionRule, n: int, curve: CombinatorialCurve,
-                   index: RuleIndex | None = None,
-                   tower: Tower | None = None,
-                   classes: VertexClass | None = None,
                    marked: frozenset[str] | None = None) -> str:
     """One of trivial, peripheral_julia, peripheral_fatou, essential."""
-    index = index or require_valid_rule(rule)
-    classes = classes or classify_vertices(rule, index)
-    tower = tower or Tower.build(rule)
-    lv = tower.up_to(n)
-    cx = lv.complex
+    classes = classify_vertices(rule)
+    cx = Tower.of(rule).up_to(n).complex
     if marked is not None:
         cx = replace(cx, marked=frozenset(marked))
     left, right = enclosed_markings(cx, curve)
@@ -579,9 +545,8 @@ class LevyReport:
     notes: dict = field(default_factory=dict)
 
 
-def is_levy_free(rule: SubdivisionRule, marked: frozenset[str] | None = None,
-                 index: RuleIndex | None = None,
-                 tower: Tower | None = None) -> LevyReport:
+def is_levy_free(rule: SubdivisionRule, marked: frozenset[str] | None = None
+                 ) -> LevyReport:
     """Levy decision for polynomially growing rules via spine essentiality.
 
     Returns levy_free=False with an essential supported curve as witness.
@@ -590,18 +555,15 @@ def is_levy_free(rule: SubdivisionRule, marked: frozenset[str] | None = None,
     notes, since a hypothetical essential class there could in principle
     require edge multiplicities above one.
     """
-    index = index or require_valid_rule(rule)
-    if not has_polynomial_growth(rule, index):
+    if not has_polynomial_growth(rule):
         raise UnsupportedRegime(
             "Levy decision is implemented for polynomial edge growth only")
-    classes = classify_vertices(rule, index)
     marked = frozenset(marked) if marked is not None else rule.marked
     if not marked:
         marked = frozenset(rule.level0.vertices)
 
-    tower = tower or Tower.build(rule)
-    n = max(stability_threshold(rule, index), 1)
-    spine = non_expanding_spine(rule, n, index, tower)
+    n = max(stability_threshold(rule), 1)
+    spine = non_expanding_spine(rule, n)
     notes: dict = {"spine_level": n, "marked": tuple(sorted(marked))}
     if any(c.shape == "multi_cycle" for c in spine.components):
         notes["multi_cycle_components"] = True
@@ -609,11 +571,10 @@ def is_levy_free(rule: SubdivisionRule, marked: frozenset[str] | None = None,
     if spine.is_empty() or not spine.full_edges:
         return LevyReport(True, None, None, n, [], notes)
 
-    lv = tower.up_to(n)
-    dual = dual_skeleton(lv.complex)
+    dual = dual_skeleton(Tower.of(rule).up_to(n).complex)
     classesx = []
     for curve in _enumerate_embedded_cycles(dual, spine.full_edges):
-        cls = classify_cycle(rule, n, curve, index, tower, classes, marked)
+        cls = classify_cycle(rule, n, curve, marked)
         classesx.append((cls, len(curve)))
         if cls in ("essential", "peripheral_fatou"):
             return LevyReport(False, curve, cls, n, classesx, notes)
@@ -656,18 +617,14 @@ def _component_canonical(node_labels: dict[str, tuple],
     return best
 
 
-def spine_type_signature(rule: SubdivisionRule, n: int,
-                         index: RuleIndex | None = None,
-                         tower: Tower | None = None) -> tuple:
+def spine_type_signature(rule: SubdivisionRule, n: int) -> tuple:
     """Isomorphism invariant of the level-n spine as a type-labeled graph.
 
     Nodes carry their tile type, full edges and half-ends their edge type;
     levels n and n + lcm(periods) must agree in the polynomial regime.
     """
-    index = index or require_valid_rule(rule)
-    tower = tower or Tower.build(rule)
-    spine = non_expanding_spine(rule, n, index, tower, enforce_threshold=False)
-    lv = tower.up_to(n)
+    spine = non_expanding_spine(rule, n, enforce_threshold=False)
+    lv = Tower.of(rule).up_to(n)
     dual = dual_skeleton(lv.complex)
 
     comps = []

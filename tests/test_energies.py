@@ -23,13 +23,11 @@ from fsrkit.energies import (
     energy_1p,
     energy_pp,
     fill_pp,
-    k_expanding_length,
     natural_energy_levels,
     natural_representative,
-    subdivision_total_order,
 )
+from fsrkit.errors import ValidationFailure
 from fsrkit.multicurves import Lift, MulticurveSpec
-from fsrkit.rules import Tower
 
 
 def two_edge_fixture(k: int, p: float) -> PLGraphMap:
@@ -85,8 +83,7 @@ def test_energy_1p():
 
 def test_natural_representative_power_spider():
     rule = power_spider_2()
-    tower = Tower.build(rule)
-    rep = natural_representative(rule, 1, 0, tower, p=1.0)
+    rep = natural_representative(rule, 1, 0, p=1.0)
     onto = [e for e, a in rep.action.items() if isinstance(a, Onto)]
     collapsed = [e for e, a in rep.action.items() if isinstance(a, Collapse)]
     assert onto == ["a0"] and collapsed == ["a1"]
@@ -98,9 +95,8 @@ def test_e1_exact():
     assert e1_exact(get_rule("doubling_edge"), 4) == 16
     # matches the p = 1 energy of the natural representative
     rule = get_rule("tripod_pillow_4")
-    tower = Tower.build(rule)
     for n in (1, 2, 3):
-        rep = natural_representative(rule, n, 0, tower, p=1.0)
+        rep = natural_representative(rule, n, 0, p=1.0)
         assert energy_pp(rep, 1.0) == e1_exact(rule, n)
 
 
@@ -109,11 +105,10 @@ def test_natural_levels_match_explicit_representative(name):
     # the closed form (max_e |R^n(e)|)^(1/p) is bitwise the energy of the
     # explicitly built level-n natural representative
     rule = get_rule(name)
-    tower = Tower.build(rule)
     for p in (1.0, 1.5, 2.0, 4.0, inf):
-        levels = natural_energy_levels(rule, p, 5, tower)
+        levels = natural_energy_levels(rule, p, 5)
         for n in range(1, 6):
-            rep = natural_representative(rule, n, 0, tower, p=p)
+            rep = natural_representative(rule, n, 0, p=p)
             assert energy_pp(rep, p) == levels[n], (name, p, n)
 
 
@@ -136,9 +131,8 @@ def test_submultiplicativity_of_levels():
     for name in ("power_spider_2", "square_spider_julia", "tripod_pillow_4",
                  "doubling_edge"):
         rule = get_rule(name)
-        tower = Tower.build(rule)
         for p in (1.0, 2.0):
-            levels = natural_energy_levels(rule, p, 4, tower)
+            levels = natural_energy_levels(rule, p, 4)
             levels[0] = 1.0
             for n in (1, 2):
                 for k in (1, 2):
@@ -150,12 +144,11 @@ def test_lift_non_increase():
     # E[phi^{n+k}_n] <= E[phi^k_0] for the natural family with lifted lengths
     for name in ("power_spider_2", "tripod_pillow_4"):
         rule = get_rule(name)
-        tower = Tower.build(rule)
         for p in (1.0, 2.0):
             for n in (1, 2):
                 for k in (1, 2):
-                    hi = natural_representative(rule, n + k, n, tower, p=p)
-                    lo = natural_representative(rule, k, 0, tower, p=p)
+                    hi = natural_representative(rule, n + k, n, p=p)
+                    lo = natural_representative(rule, k, 0, p=p)
                     assert energy_pp(hi, p) <= energy_pp(lo, p) + 1e-12
 
 
@@ -174,23 +167,22 @@ def test_power_shift_level_consistency():
     from fsrkit.rules import power
 
     rule = power_spider_2()
-    tower = Tower.build(rule)
     for p in (1.0, 2.0):
-        base_levels = natural_energy_levels(rule, p, 3, tower)
+        base_levels = natural_energy_levels(rule, p, 3)
         for k in (2, 3):
             pw = power(rule, k)
             a1 = natural_energy_levels(pw, p, 1)[1]
             assert a1 == base_levels[k], (k, p)
 
 
-def test_total_order_and_k_expanding():
-    rule = get_rule("tripod_pillow_4")
-    order = subdivision_total_order(rule)
-    assert set(order) == {"x", "y", "z", "w"}
-    assert order.index("y") < min(order.index(e) for e in ("x", "z", "w"))
-    alpha, _ = k_expanding_length(rule, 4)
-    ranks = sorted(alpha.values())
-    assert ranks == [1, 8, 64, 512]
+def test_exponents_below_one_rejected():
+    rule = power_spider_2()
+    for p in (0.0, 0.5, math.nan, -inf):
+        for fn in (natural_energy_levels, asymptotic_bounds):
+            with pytest.raises(ValidationFailure) as err:
+                fn(rule, p, 2)
+            assert err.value.check == "exponent", (fn.__name__, p)
+    assert natural_energy_levels(rule, inf, 2) == {1: 1.0, 2: 1.0}
 
 
 def test_certificate_power_spider():

@@ -88,10 +88,9 @@ def test_render_spine_overlay():
     from fsrkit.spines import non_expanding_spine
 
     rule = get_rule("square_spider_julia")
-    tower = Tower.build(rule)
-    spine = non_expanding_spine(rule, 1, tower=tower)
-    svg = render_rule_level(rule, tower.up_to(1), classify_vertices(rule),
-                            spine)
+    spine = non_expanding_spine(rule, 1)
+    svg = render_rule_level(rule, Tower.of(rule).up_to(1),
+                            classify_vertices(rule), spine)
     assert 'stroke="#c22"' in svg
 
 
@@ -144,6 +143,14 @@ def test_cli_energy_level_budget_exit_code(capsys):
                       "--level", "100")
     assert code == 4
     assert capsys.readouterr().err.startswith("error: energy: level 100")
+
+
+@pytest.mark.parametrize("p", ["0", "0.5", "nan"])
+def test_cli_energy_bad_exponent_exit_code(capsys, p):
+    code, out = run_cli("--json", "energy", "power_spider_2", "--p", p)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["validate", "multicurve"])

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
+from collections import Counter
 
 import pytest
 
-from fsrkit.catalog import doubling_edge, power_spider_2
+from fsrkit import rules
+from fsrkit.catalog import CATALOG, doubling_edge, get_rule, power_spider_2
 from fsrkit.complexes import MINUS, PLUS, validate_complex
 from fsrkit.errors import BudgetExceeded, ValidationFailure
+from fsrkit.report import analyze
 from fsrkit.rules import (
     EdgeImage,
     Tower,
@@ -39,12 +44,20 @@ def test_doubling_edge_valid():
 
 
 def test_reversed_orientation_fails():
-    rule = power_spider_2()
-    bad = dataclasses.replace(
-        rule, map_edges={"a0": EdgeImage("e", PLUS), "a1": EdgeImage("e", MINUS)})
-    rep = validate_rule(bad)
-    assert not rep.ok
-    assert rep.first_failure == "orientation"
+    validated = power_spider_2()
+    assert validate_rule(validated).ok
+    require_valid_rule(validated)
+    # a rule whose original was validated (and memoized) fails all the same
+    for rule in (power_spider_2(), validated):
+        bad = dataclasses.replace(
+            rule, map_edges={"a0": EdgeImage("e", PLUS),
+                             "a1": EdgeImage("e", MINUS)})
+        rep = validate_rule(bad)
+        assert not rep.ok
+        assert rep.first_failure == "orientation"
+        for _ in range(2):
+            with pytest.raises(ValidationFailure):
+                require_valid_rule(bad)
 
 
 def test_unknown_image_vertex_fails():
@@ -173,3 +186,35 @@ def test_classification_stable_under_shift():
 def test_budget_enforced():
     with pytest.raises(BudgetExceeded):
         subdivide(doubling_edge(), 12, budget=100)
+
+
+def test_analyze_builds_each_index_once(monkeypatch):
+    built = Counter()
+    keep = []       # holds every rule, so that no id is reused
+    original = rules.build_rule_index
+
+    def counting(rule):
+        built[id(rule)] += 1
+        keep.append(rule)
+        return original(rule)
+
+    monkeypatch.setattr(rules, "build_rule_index", counting)
+    for name in sorted(CATALOG):
+        built.clear()
+        analyze(get_rule(name))
+        assert built and max(built.values()) == 1, name
+
+
+def test_analyze_leaves_no_reference_cycle():
+    # with the cycle collector off, only reference counting frees the rule
+    gc.disable()
+    try:
+        for name in sorted(CATALOG):
+            rule = get_rule(name)
+            analyze(rule)
+            assert Tower.of(rule).levels       # the shared tower is memoized
+            ref = weakref.ref(rule)
+            del rule
+            assert ref() is None, name
+    finally:
+        gc.enable()
