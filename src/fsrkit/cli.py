@@ -89,7 +89,10 @@ def cmd_validate(args) -> int:
                                    "critical_vertices":
                                    list(rep.notes.get("critical_vertices", ()))}
                                   if rep.ok else {})})
-    return 0 if rep.ok else 2
+    if not rep.ok:
+        print(f"error: {rep.summary()}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_subdivide(args) -> int:

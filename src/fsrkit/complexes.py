@@ -101,11 +101,6 @@ class SphereComplex:
     def tile_left(self, d: Dart) -> str:
         return self.dart_location()[d][0]
 
-    def walk_next(self, d: Dart) -> Dart:
-        t, i = self.dart_location()[d]
-        w = self.tiles[t]
-        return w[(i + 1) % len(w)]
-
     def walk_prev(self, d: Dart) -> Dart:
         t, i = self.dart_location()[d]
         w = self.tiles[t]
@@ -390,11 +385,6 @@ class CombinatorialCurve:
 
     def reversed(self) -> "CombinatorialCurve":
         return CombinatorialCurve(tuple(flip(d) for d in reversed(self.darts)))
-
-
-def curve_vertices(dual: DualSkeleton, c: CombinatorialCurve) -> list[str]:
-    """Dual vertices visited, aligned with dart tails."""
-    return [dual.dual_tail(d) for d in c.darts]
 
 
 def is_closed_walk(dual: DualSkeleton, c: CombinatorialCurve) -> bool:

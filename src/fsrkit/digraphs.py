@@ -1,15 +1,21 @@
 """Finite directed multigraphs and the path-growth analytics used for
-subdivision dynamics: strong components, reachability preorder, ideals and
-their radicals, growth classification, and certified spectral radii.
+subdivision dynamics: strong components, reachability, ideals and their
+radicals, growth classification, and certified spectral radii.
+
+A digraph is immutable after construction.  Every structural question about
+it is answered from one ``Condensation`` (strong components, internal arc
+counts, reach bitsets, cycle chains), computed once and memoized on the
+digraph object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .complexes import memo
 from .errors import InternalInconsistency
 
 Label = Hashable
@@ -22,9 +28,12 @@ class Arc:
     tag: Hashable = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class DynDigraph:
-    """Directed multigraph with labeled vertices and tagged arcs."""
+    """Directed multigraph with labeled vertices and tagged arcs.
+
+    Immutable after construction: never edit ``vertices`` or ``arcs`` in
+    place, since ``condensation`` memoizes its result on the object."""
 
     vertices: list[Label]
     arcs: list[Arc] = field(default_factory=list)
@@ -38,6 +47,7 @@ class DynDigraph:
                 raise ValueError(f"arc {a} references unknown vertex")
 
     def adjacency_matrix(self, order: Sequence[Label] | None = None) -> np.ndarray:
+        """Arc counts among the vertices of order (default: all vertices)."""
         order = list(order) if order is not None else list(self.vertices)
         idx = {v: i for i, v in enumerate(order)}
         m = np.zeros((len(order), len(order)), dtype=np.int64)
@@ -45,11 +55,6 @@ class DynDigraph:
             if a.src in idx and a.dst in idx:
                 m[idx[a.src], idx[a.dst]] += 1
         return m
-
-    def induced(self, keep: Iterable[Label]) -> "DynDigraph":
-        ks = set(keep)
-        return DynDigraph([v for v in self.vertices if v in ks],
-                          [a for a in self.arcs if a.src in ks and a.dst in ks])
 
     def to_dot(self, name: str = "G") -> str:
         lines = [f'digraph "{name}" {{']
@@ -74,12 +79,13 @@ class GrowthClass:
 
 
 # ---------------------------------------------------------------------------
-# strong components and preorder
+# strong components, reachability, ideals and radicals
 # ---------------------------------------------------------------------------
 
 
 def strongly_connected_components(g: DynDigraph) -> list[list[Label]]:
-    """Tarjan SCCs, deterministic order (by first vertex occurrence)."""
+    """Tarjan SCCs, sinks first: every arc leaving a component points to an
+    earlier one.  Deterministic (roots taken in vertex order)."""
     index: dict[Label, int] = {}
     low: dict[Label, int] = {}
     on_stack: set[Label] = set()
@@ -132,82 +138,97 @@ def strongly_connected_components(g: DynDigraph) -> list[list[Label]]:
     return sccs
 
 
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(frozen=True)
+class Condensation:
+    """Strong components of a digraph with their reach sets.
+
+    Component i is ``sccs[i]``, in Tarjan order (sinks first).  It carries
+    a cycle iff ``internal[i]``, its number of internal arcs, is nonzero, and
+    it is a single cycle iff that number equals its size.  ``reach[i]`` is a
+    bitset over components: bit j is set iff a path leads from component i
+    into component j.  ``chain[i]`` is the largest number of cycle-carrying
+    components met along one path from component i.  ``out_arcs[v]`` lists
+    the arcs leaving v in arc order."""
+
+    sccs: list[list[Label]]
+    comp_of: dict[Label, int]
+    internal: list[int]
+    out_arcs: dict[Label, list[Arc]]
+    reach: list[int]
+    chain: list[int]
+
+    def reaches(self, u: Label, v: Label) -> bool:
+        """Is there a path (possibly empty) from u to v?"""
+        return bool(self.reach[self.comp_of[u]] >> self.comp_of[v] & 1)
+
+    def vertices_in(self, mask: int) -> set[Label]:
+        return {v for i in _bits(mask) for v in self.sccs[i]}
+
+    def avoiding(self, xs: Iterable[Label]) -> set[Label]:
+        """Vertices from which no vertex of xs is reachable."""
+        bad = 0
+        for v in xs:
+            bad |= 1 << self.comp_of[v]
+        return {v for v, i in self.comp_of.items() if not self.reach[i] & bad}
+
+
+def condensation(g: DynDigraph) -> Condensation:
+    """The condensation of g, computed once per digraph object."""
+    m = memo(g)
+    if "condensation" not in m:
+        sccs = strongly_connected_components(g)
+        comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
+        out_arcs: dict[Label, list[Arc]] = {v: [] for v in g.vertices}
+        internal = [0] * len(sccs)
+        succ: list[set[int]] = [set() for _ in sccs]
+        for a in g.arcs:
+            out_arcs[a.src].append(a)
+            i, j = comp_of[a.src], comp_of[a.dst]
+            if i == j:
+                internal[i] += 1
+            else:
+                succ[i].add(j)
+        reach: list[int] = []
+        chain: list[int] = []
+        for i in range(len(sccs)):  # successors of i come before i
+            r = 1 << i
+            for j in succ[i]:
+                r |= reach[j]
+            reach.append(r)
+            chain.append((internal[i] > 0)
+                         + max((chain[j] for j in succ[i]), default=0))
+        m["condensation"] = Condensation(sccs, comp_of, internal, out_arcs,
+                                         reach, chain)
+    return m["condensation"]
+
+
 def reachable_from(g: DynDigraph, v: Label) -> set[Label]:
-    succ = {u: set() for u in g.vertices}
-    for a in g.arcs:
-        succ[a.src].add(a.dst)
-    seen = {v}
-    stack = [v]
-    while stack:
-        for w in succ[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def scc_and_preorder(g: DynDigraph) -> tuple[list[list[Label]], set[tuple[Label, Label]]]:
-    """SCC list plus the reachability relation v <= w (path from v to w)."""
-    sccs = strongly_connected_components(g)
-    reach: set[tuple[Label, Label]] = set()
-    for v in g.vertices:
-        for w in reachable_from(g, v):
-            reach.add((v, w))
-    return sccs, reach
-
-
-def _scc_internal_arcs(g: DynDigraph) -> tuple[dict[Label, int], list[list[Label]], list[int]]:
-    sccs = strongly_connected_components(g)
-    comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
-    internal = [0] * len(sccs)
-    for a in g.arcs:
-        if comp_of[a.src] == comp_of[a.dst]:
-            internal[comp_of[a.src]] += 1
-    return comp_of, sccs, internal
+    c = condensation(g)
+    return c.vertices_in(c.reach[c.comp_of[v]])
 
 
 def cycles_are_disjoint(g: DynDigraph) -> bool:
     """True iff every cycle-containing SCC is a single cycle."""
-    comp_of, sccs, internal = _scc_internal_arcs(g)
-    for i, comp in enumerate(sccs):
-        has_cycle = len(comp) > 1 or internal[i] >= 1
-        if has_cycle and internal[i] != len(comp):
-            return False
-    return True
+    c = condensation(g)
+    return all(k in (0, len(comp)) for comp, k in zip(c.sccs, c.internal))
 
 
 def growth_class(g: DynDigraph, v: Label) -> GrowthClass:
-    """Exact structural growth classification of P(v, n)."""
-    comp_of, sccs, internal = _scc_internal_arcs(g)
-    reach = reachable_from(g, v)
-    reach_comps = {comp_of[u] for u in reach}
-    for i in reach_comps:
-        has_cycle = len(sccs[i]) > 1 or internal[i] >= 1
-        if has_cycle and internal[i] > len(sccs[i]):
-            return GrowthClass("exponential")
-    # polynomial: longest chain of cycle-containing SCCs along a path from v
-    cyc = {i for i in reach_comps
-           if len(sccs[i]) > 1 or internal[i] >= 1}
-    # condensation restricted to reachable SCCs
-    comp_succ: dict[int, set[int]] = {i: set() for i in reach_comps}
-    for a in g.arcs:
-        if a.src in reach and a.dst in reach:
-            ci, cj = comp_of[a.src], comp_of[a.dst]
-            if ci != cj:
-                comp_succ[ci].add(cj)
-    memo: dict[int, int] = {}
-
-    def chain(i: int) -> int:
-        if i in memo:
-            return memo[i]
-        best = 1 if i in cyc else 0
-        for j in comp_succ[i]:
-            best = max(best, (1 if i in cyc else 0) + chain(j))
-        memo[i] = best
-        return best
-
-    max_cycles = chain(comp_of[v]) if v in comp_of else 0
-    return GrowthClass("polynomial", max_cycles - 1)
+    """Exact structural growth classification of P(v, n): exponential iff a
+    component with two cycles is reachable from v, else polynomial of degree
+    one less than the longest chain of cycles along a path from v."""
+    c = condensation(g)
+    i = c.comp_of[v]
+    if any(c.internal[j] > len(c.sccs[j]) for j in _bits(c.reach[i])):
+        return GrowthClass("exponential")
+    return GrowthClass("polynomial", c.chain[i] - 1)
 
 
 def path_count(g: DynDigraph, v: Label, n: int) -> int:
@@ -225,59 +246,42 @@ def path_count(g: DynDigraph, v: Label, n: int) -> int:
 
 
 def recurrent_vertices(g: DynDigraph) -> set[Label]:
-    comp_of, sccs, internal = _scc_internal_arcs(g)
-    rec = set()
-    for i, comp in enumerate(sccs):
-        if len(comp) > 1 or internal[i] >= 1:
-            rec.update(comp)
-    return rec
+    c = condensation(g)
+    return {v for comp, k in zip(c.sccs, c.internal) if k for v in comp}
 
 
 def cycle_period(g: DynDigraph, v: Label) -> int:
     """Length of the unique cycle through v (requires disjoint cycles)."""
-    comp_of, sccs, internal = _scc_internal_arcs(g)
-    i = comp_of[v]
-    comp = sccs[i]
-    if internal[i] == 0:
+    c = condensation(g)
+    i = c.comp_of[v]
+    if c.internal[i] == 0:
         raise InternalInconsistency(f"vertex {v} is not recurrent")
-    if internal[i] != len(comp):
+    if c.internal[i] != len(c.sccs[i]):
         raise InternalInconsistency(
             f"vertex {v} lies in a multi-cycle component; no single period")
-    return len(comp)
-
-
-# ---------------------------------------------------------------------------
-# ideals and radicals
-# ---------------------------------------------------------------------------
+    return len(c.sccs[i])
 
 
 def ideal_closure(g: DynDigraph, xs: Iterable[Label]) -> set[Label]:
-    out: set[Label] = set()
+    c = condensation(g)
+    mask = 0
     for v in xs:
-        out |= reachable_from(g, v)
-    return out
+        mask |= c.reach[c.comp_of[v]]
+    return c.vertices_in(mask)
 
 
 def radical_closure(g: DynDigraph, xs: Iterable[Label]) -> set[Label]:
-    """Smallest radical ideal containing xs: ideal closure, then Tail fixpoint.
+    """Smallest radical ideal containing xs: ideal closure, then Tail.
 
     v joins Tail(X) iff every sufficiently long path from v terminates in X,
     i.e. no recurrent vertex whose forward set escapes X is reachable from v.
     """
+    c = condensation(g)
     x = ideal_closure(g, xs)
-    while True:
-        rec = recurrent_vertices(g)
-        bad_roots = {r for r in rec if not reachable_from(g, r) <= x}
-        tail = set()
-        for v in g.vertices:
-            if not (reachable_from(g, v) & bad_roots):
-                tail.add(v)
-        new = x | tail
-        # Tail of an ideal is an ideal and idempotent; one pass suffices, but
-        # iterate defensively until stable.
-        if new == x:
-            return x
-        x = ideal_closure(g, new)
+    bad_roots = [comp[0] for comp, k, r in zip(c.sccs, c.internal, c.reach)
+                 if k and not c.vertices_in(r) <= x]
+    # one pass is a fixpoint: a bad root lies in neither X nor Tail, so stays bad
+    return x | c.avoiding(bad_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +339,10 @@ def spectral_radius(m: np.ndarray, tol: float = 1e-12) -> CertifiedValue:
         return CertifiedValue(0.0, 0.0, 0.0)
     g = DynDigraph(list(range(n)),
                    [Arc(i, j) for i in range(n) for j in range(n) if m[i, j] > 0])
-    comp_of, sccs, internal = _scc_internal_arcs(g)
+    c = condensation(g)
     best = CertifiedValue(0.0, 0.0, 0.0)
-    for i, comp in enumerate(sccs):
-        if len(comp) == 1 and internal[i] == 0:
+    for comp, k in zip(c.sccs, c.internal):
+        if k == 0:
             continue  # no cycle: contributes 0
         idx = sorted(comp)
         sub = m[np.ix_(idx, idx)]

@@ -17,6 +17,7 @@ from .digraphs import (
     CertifiedValue,
     DynDigraph,
     GrowthClass,
+    condensation,
     cycle_period,
     cycles_are_disjoint,
     growth_class,
@@ -25,14 +26,20 @@ from .digraphs import (
     spectral_radius,
 )
 from .errors import UnsupportedRegime
-from .rules import RuleIndex, SubdivisionRule, require_valid_rule
+from .rules import (
+    RuleIndex,
+    SubdivisionRule,
+    VertexClass,
+    classify_vertices,
+    require_valid_rule,
+)
 
 BandLabel = tuple[str, frozenset]  # (tile id, {walk position i, j})
 
 
 def build_edge_digraph(rule: SubdivisionRule) -> DynDigraph:
     """One vertex per level-0 edge, one arc per level-1 subedge.  Memoized
-    on the rule: callers share the digraph and must not modify it."""
+    on the rule, so its condensation is computed once per rule too."""
     m = memo(rule)
     if "edge_digraph" not in m:
         index = require_valid_rule(rule)
@@ -45,13 +52,17 @@ def build_edge_digraph(rule: SubdivisionRule) -> DynDigraph:
 
 
 def build_tile_digraph(rule: SubdivisionRule) -> DynDigraph:
-    """One vertex per level-0 tile, one arc per level-1 subtile."""
-    index = require_valid_rule(rule)
-    arcs = []
-    for t0 in sorted(rule.level0.tiles):
-        for t1 in index.interior_tiles[t0]:
-            arcs.append(Arc(t0, rule.map_tiles[t1].tile, tag=t1))
-    return DynDigraph(sorted(rule.level0.tiles), arcs)
+    """One vertex per level-0 tile, one arc per level-1 subtile.  Memoized
+    on the rule like the edge digraph."""
+    m = memo(rule)
+    if "tile_digraph" not in m:
+        index = require_valid_rule(rule)
+        arcs = []
+        for t0 in sorted(rule.level0.tiles):
+            for t1 in index.interior_tiles[t0]:
+                arcs.append(Arc(t0, rule.map_tiles[t1].tile, tag=t1))
+        m["tile_digraph"] = DynDigraph(sorted(rule.level0.tiles), arcs)
+    return m["tile_digraph"]
 
 
 def level0_bands(rule: SubdivisionRule) -> list[BandLabel]:
@@ -102,6 +113,56 @@ def build_band_digraph(rule: SubdivisionRule) -> DynDigraph:
 
 
 # ---------------------------------------------------------------------------
+# Julia edges and tiles
+# ---------------------------------------------------------------------------
+
+
+def _fatou_exposed_edges(rule: SubdivisionRule, index: RuleIndex,
+                         classes: VertexClass) -> set[str]:
+    """Level-0 edges some level-n subdivision of which has an interior
+    vertex of Fatou type."""
+    c = condensation(build_edge_digraph(rule))
+    seeds = [e for e in rule.level0.edges
+             if any(classes.is_fatou[rule.map_vertices[w]]
+                    for w in index.path_interior[e])]
+    return set(rule.level0.edges) - c.avoiding(seeds)
+
+
+def julia_edges(rule: SubdivisionRule) -> frozenset[str]:
+    """Edges whose subdivisions never contain a Fatou vertex."""
+    index = require_valid_rule(rule)
+    classes = classify_vertices(rule)
+    exposed = _fatou_exposed_edges(rule, index, classes)
+    return frozenset(e for e, (a, b) in rule.level0.edges.items()
+                     if e not in exposed
+                     and not classes.is_fatou[a] and not classes.is_fatou[b])
+
+
+def julia_tiles(rule: SubdivisionRule) -> frozenset[str]:
+    """Tiles whose subdivisions never contain a Fatou vertex or a non-Julia
+    edge: every tile type reachable in the tile digraph has Julia boundary
+    edges, non-Fatou corners and carried vertices, and carried edges that
+    never expose a Fatou vertex."""
+    index = require_valid_rule(rule)
+    classes = classify_vertices(rule)
+    exposed = _fatou_exposed_edges(rule, index, classes)
+    c0 = rule.level0
+
+    def clean(t: str) -> bool:
+        # the corners are the endpoints of the boundary edges, so these are
+        # Julia edges exactly when they are not exposed
+        return (all(d[0] not in exposed and not classes.is_fatou[c0.tail(d)]
+                    for d in c0.tiles[t])
+                and not any(classes.is_fatou[rule.map_vertices[w]]
+                            for w in index.interior_vertices[t])
+                and not any(rule.map_edges[e1].edge in exposed
+                            for e1 in index.interior_edges[t]))
+
+    c = condensation(build_tile_digraph(rule))
+    return frozenset(c.avoiding(t for t in c0.tiles if not clean(t)))
+
+
+# ---------------------------------------------------------------------------
 # growth of edge subdivisions
 # ---------------------------------------------------------------------------
 
@@ -124,8 +185,7 @@ def edge_growth_rate(rule: SubdivisionRule, e0: str,
     if cls.kind == "polynomial":
         return CertifiedValue(1.0, 1.0, 1.0)
     keep = sorted(reachable_from(g, e0))
-    sub = g.induced(keep)
-    return spectral_radius(sub.adjacency_matrix(keep), tol=tol)
+    return spectral_radius(g.adjacency_matrix(keep), tol=tol)
 
 
 def recurrency_periods(rule: SubdivisionRule) -> dict[str, int]:

@@ -24,6 +24,7 @@ from fractions import Fraction
 from math import inf
 
 from .complexes import Dart, MINUS, PLUS, dual_skeleton, flip
+from .digraphs import condensation
 from .dynamics import (
     build_edge_digraph,
     has_polynomial_growth,
@@ -456,8 +457,7 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
 
     # Julia vertices: choose the edge to remove (a preorder-maximal incident
     # edge), then build lengths in which it dominates its star
-    eg = build_edge_digraph(work)
-    from .digraphs import reachable_from as _reach
+    eg = condensation(build_edge_digraph(work))
 
     removed: dict[str, str] = {}
     boosts: dict[str, list[str]] = {}
@@ -477,8 +477,8 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
                     f"Julia vertices {v} and {other} are adjacent; apply "
                     "normalization first")
         maximal = [e for e in incident
-                   if not any(x != e and x in _reach(eg, e) and
-                              e not in _reach(eg, x) for x in incident)]
+                   if not any(x != e and eg.reaches(e, x) and
+                              not eg.reaches(x, e) for x in incident)]
         choice = min(maximal or incident)
         removed[v] = choice
         boosts[choice] = [e for e in incident if e != choice]

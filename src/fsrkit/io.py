@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable
 
 from .complexes import SphereComplex, sign_of, sign_str
 from .errors import ValidationFailure
@@ -46,6 +46,15 @@ def complex_to_json(cx: SphereComplex) -> dict:
     }
 
 
+def _require_ids(*groups: Iterable) -> None:
+    """Cell ids and references in a file must be strings."""
+    for group in groups:
+        for x in group:
+            if not isinstance(x, str):
+                raise ValidationFailure(f"cell id {x!r} is not a string",
+                                        check="schema")
+
+
 def complex_from_json(data: dict, marked: frozenset[str] = frozenset()
                       ) -> SphereComplex:
     try:
@@ -56,6 +65,8 @@ def complex_from_json(data: dict, marked: frozenset[str] = frozenset()
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationFailure(f"malformed complex data: {exc}",
                                 check="schema") from exc
+    _require_ids(vertices, edges, *edges.values(), tiles,
+                 *([e for e, _ in walk] for walk in tiles.values()))
     return SphereComplex(vertices, edges, tiles, marked)
 
 
@@ -118,6 +129,11 @@ def rule_from_json(data: dict) -> SubdivisionRule:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationFailure(f"malformed rule data: {exc}",
                                 check="schema") from exc
+    cv, ce, ct = rule.carrier_vertices, rule.carrier_edges, rule.carrier_tiles
+    _require_ids(marked, cv, *cv.values(), ce, *ce.values(), ct, ct.values(),
+                 rule.map_vertices, rule.map_vertices.values(),
+                 rule.map_edges, [img.edge for img in rule.map_edges.values()],
+                 rule.map_tiles, [img.tile for img in rule.map_tiles.values()])
     return rule
 
 

@@ -19,7 +19,7 @@ from .digraphs import (
     Arc,
     CertifiedValue,
     DynDigraph,
-    _scc_internal_arcs,
+    condensation,
     spectral_radius,
 )
 from .errors import UnsupportedRegime, ValidationFailure
@@ -101,17 +101,14 @@ def _support_digraph(mc: MulticurveSpec, degree_one_only: bool = False
 
 def irreducible_blocks(mc: MulticurveSpec) -> list[tuple[str, ...]]:
     """Cycle-containing strongly connected sub-multicurves (diagonal blocks)."""
-    g = _support_digraph(mc)
-    comp_of, sccs, internal = _scc_internal_arcs(g)
-    return [tuple(sorted(comp)) for i, comp in enumerate(sccs)
-            if len(comp) > 1 or internal[i] >= 1]
+    c = condensation(_support_digraph(mc))
+    return [tuple(sorted(comp)) for comp, k in zip(c.sccs, c.internal) if k]
 
 
 def has_levy_block(mc: MulticurveSpec) -> bool:
     """Exact: a cycle of degree-one lifts exists iff lambda_inf >= 1."""
     g = _support_digraph(mc, degree_one_only=True)
-    comp_of, sccs, internal = _scc_internal_arcs(g)
-    return any(len(c) > 1 or internal[i] >= 1 for i, c in enumerate(sccs))
+    return any(condensation(g).internal)
 
 
 def is_nilpotent(mc: MulticurveSpec) -> bool:
@@ -122,13 +119,8 @@ def _block_multiplicity_exceeds_one(mc: MulticurveSpec) -> bool:
     """Exact test for lambda_1 > 1: some irreducible block is not a single
     cycle when arcs are counted with lift multiplicity (weighted by degree
     count, i.e. number of essential components)."""
-    g = _support_digraph(mc)
-    comp_of, sccs, internal = _scc_internal_arcs(g)
-    for i, comp in enumerate(sccs):
-        if len(comp) > 1 or internal[i] >= 1:
-            if internal[i] > len(comp):
-                return True
-    return False
+    c = condensation(_support_digraph(mc))
+    return any(k > len(comp) for comp, k in zip(c.sccs, c.internal))
 
 
 def lambda_p(mc: MulticurveSpec, p: float) -> CertifiedValue:

@@ -19,6 +19,8 @@ from .dynamics import (
     build_tile_digraph,
     edge_growth_rate,
     has_polynomial_growth,
+    julia_edges,
+    julia_tiles,
 )
 from .errors import InternalInconsistency, UnsupportedRegime, ValidationFailure
 from .rules import (
@@ -27,8 +29,6 @@ from .rules import (
     TileImage,
     Tower,
     classify_vertices,
-    julia_edges,
-    julia_tiles,
     require_valid_rule,
     validate_rule,
 )

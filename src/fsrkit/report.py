@@ -11,6 +11,8 @@ from .dynamics import (
     edge_growth_classes,
     edge_growth_rate,
     has_polynomial_growth,
+    julia_edges,
+    julia_tiles,
     recurrency_periods,
     stability_threshold,
 )
@@ -18,8 +20,7 @@ from .energies import asymptotic_bounds, e1_exact
 from .errors import FsrError
 from .multicurves import MulticurveSpec, classify_multicurve
 from .quotients import normalize_for_energy
-from .rules import SubdivisionRule, classify_vertices, julia_edges, \
-    julia_tiles, validate_rule
+from .rules import SubdivisionRule, classify_vertices, validate_rule
 from .spines import is_levy_free, non_expanding_spine
 
 P_SAMPLES = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 8.0)

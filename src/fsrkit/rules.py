@@ -322,10 +322,16 @@ def _check_rule(rule: SubdivisionRule
             return fail(rep.first_failure or "complex", f"{name}: {rep.summary()}")
 
     c0, c1 = rule.level0, rule.level1
-    # totality of carrier and map
+    cells0 = {"vertex": set(c0.vertices), "edge": c0.edges, "tile": c0.tiles}
+    # totality of carrier and map; a carrier is a level-0 cell of a kind
+    # that can carry the cell
     for v1 in c1.vertices:
         if v1 not in rule.carrier_vertices:
             return fail("carrier", f"vertex {v1} has no carrier")
+        kind, ref = rule.carrier_vertices[v1]
+        if ref not in cells0.get(kind, ()):
+            return fail("carrier", f"vertex {v1} has carrier {kind} {ref}, "
+                                   "not a level-0 cell")
         if v1 not in rule.map_vertices:
             return fail("map", f"vertex {v1} has no image")
         if rule.map_vertices[v1] not in set(c0.vertices):
@@ -334,6 +340,10 @@ def _check_rule(rule: SubdivisionRule
     for e1 in c1.edges:
         if e1 not in rule.carrier_edges:
             return fail("carrier", f"edge {e1} has no carrier")
+        kind, ref = rule.carrier_edges[e1]
+        if kind == "vertex" or ref not in cells0.get(kind, ()):
+            return fail("carrier", f"edge {e1} has carrier {kind} {ref}, "
+                                   "not a level-0 edge or tile")
         if e1 not in rule.map_edges:
             return fail("map", f"edge {e1} has no image")
         if rule.map_edges[e1].edge not in c0.edges:
@@ -341,10 +351,21 @@ def _check_rule(rule: SubdivisionRule
     for t1 in c1.tiles:
         if t1 not in rule.carrier_tiles:
             return fail("carrier", f"tile {t1} has no carrier")
+        if rule.carrier_tiles[t1] not in c0.tiles:
+            return fail("carrier", f"tile {t1} has carrier "
+                                   f"{rule.carrier_tiles[t1]}, not a level-0 tile")
         if t1 not in rule.map_tiles:
             return fail("map", f"tile {t1} has no image")
         if rule.map_tiles[t1].tile not in c0.tiles:
             return fail("map", f"tile {t1} maps to unknown tile")
+    # ... and no entries for cells missing from level1
+    sizes = [len(c1.vertices), len(c1.edges), len(c1.tiles)]
+    for check, tables in (
+            ("carrier", (rule.carrier_vertices, rule.carrier_edges,
+                         rule.carrier_tiles)),
+            ("map", (rule.map_vertices, rule.map_edges, rule.map_tiles))):
+        if [len(tb) for tb in tables] != sizes:
+            return fail(check, f"{check} names a cell missing from level1")
 
     # endpoint consistency of edge images
     for e1, img in sorted(rule.map_edges.items()):
@@ -799,90 +820,6 @@ def classify_vertices(rule: SubdivisionRule) -> VertexClass:
     is_fatou = {v: any(local[c] > 1 for c in cycle_of[v])
                 for v in rule.level0.vertices}
     return VertexClass(is_fatou, cycle_of, local, frozenset(periodic))
-
-
-def _interior_vertex_types(rule: SubdivisionRule, index: RuleIndex,
-                           e0: str) -> set[str]:
-    return {rule.map_vertices[w] for w in index.path_interior[e0]}
-
-
-def _edge_reach(rule: SubdivisionRule, index: RuleIndex, e0: str) -> set[str]:
-    """Edge types reachable from e0 in the edge-subdivision digraph."""
-    seen = {e0}
-    stack = [e0]
-    while stack:
-        cur = stack.pop()
-        for (e1, _) in index.path[cur]:
-            nxt = rule.map_edges[e1].edge
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
-def julia_edges(rule: SubdivisionRule) -> frozenset[str]:
-    """Edges whose subdivisions never contain a Fatou vertex."""
-    index = require_valid_rule(rule)
-    classes = classify_vertices(rule)
-    out = set()
-    for e0, (a, b) in rule.level0.edges.items():
-        if classes.is_fatou[a] or classes.is_fatou[b]:
-            continue
-        exposed = set()
-        for e in _edge_reach(rule, index, e0):
-            exposed |= _interior_vertex_types(rule, index, e)
-        if not any(classes.is_fatou[v] for v in exposed):
-            out.add(e0)
-    return frozenset(out)
-
-
-def julia_tiles(rule: SubdivisionRule) -> frozenset[str]:
-    index = require_valid_rule(rule)
-    classes = classify_vertices(rule)
-    jedges = julia_edges(rule)
-
-    def tile_reach(t0: str) -> set[str]:
-        seen = {t0}
-        stack = [t0]
-        while stack:
-            cur = stack.pop()
-            for t1 in index.interior_tiles[cur]:
-                nxt = rule.map_tiles[t1].tile
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    out = set()
-    for t0 in rule.level0.tiles:
-        ok = True
-        for t in tile_reach(t0):
-            corners = {rule.level0.tail(d) for d in rule.level0.tiles[t]}
-            if any(classes.is_fatou[v] for v in corners):
-                ok = False
-                break
-            boundary = {d[0] for d in rule.level0.tiles[t]}
-            if not boundary <= jedges:
-                ok = False
-                break
-            inner_types = {rule.map_vertices[w]
-                           for w in index.interior_vertices[t]}
-            if any(classes.is_fatou[v] for v in inner_types):
-                ok = False
-                break
-            for e1 in index.interior_edges[t]:
-                e_img = rule.map_edges[e1].edge
-                exposed = set()
-                for e in _edge_reach(rule, index, e_img):
-                    exposed |= _interior_vertex_types(rule, index, e)
-                if any(classes.is_fatou[v] for v in exposed):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.add(t0)
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .complexes import (
     flip,
     is_embedded_closed_walk,
 )
-from .digraphs import DynDigraph, reachable_from
+from .digraphs import DynDigraph, condensation
 from .dynamics import (
     build_band_digraph,
     build_edge_digraph,
@@ -54,34 +54,27 @@ def _recurrent_paths(g: DynDigraph, start, n: int, cap: int) -> list[list]:
     """Tag sequences of recurrent length-n paths from start.
 
     A path is recurrent when its end has a return path of length >= 1 to the
-    start; for n = 0 this means the start lies on a cycle.
+    start; for n = 0 this means the start lies on a cycle.  Every vertex of
+    such a path lies in the strong component of the start.
     """
-    succ: dict = {}
-    for a in g.arcs:
-        succ.setdefault(a.src, []).append(a)
-    reach_back = {v: start in reachable_from(g, v) for v in g.vertices}
-    returns = {v: any(reach_back[a.dst] for a in succ.get(v, []))
-               for v in g.vertices}
-
-    def good_end(v) -> bool:
-        return returns[v] if v == start else reach_back[v]
-
+    c = condensation(g)
+    home = c.comp_of[start]
+    if c.internal[home] == 0:
+        return []
     if n == 0:
-        return [[]] if good_end(start) else []
+        return [[]]
     out: list[list] = []
     stack = [(start, [])]
     while stack:
         v, tags = stack.pop()
         if len(tags) == n:
-            if good_end(v):
-                out.append(tags)
-                if len(out) > cap:
-                    raise BudgetExceeded(
-                        f"more than {cap} recurrent paths", reached=n)
+            out.append(tags)
+            if len(out) > cap:
+                raise BudgetExceeded(
+                    f"more than {cap} recurrent paths", reached=n)
             continue
-        for a in succ.get(v, []):
-            # prune: every vertex of a recurrent path can reach the start
-            if reach_back[a.dst]:
+        for a in c.out_arcs[v]:
+            if c.comp_of[a.dst] == home:
                 stack.append((a.dst, tags + [a.tag]))
     return out
 

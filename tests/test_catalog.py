@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from fsrkit.catalog import catalog, get_rule
-from fsrkit.dynamics import has_polynomial_growth, stability_threshold
-from fsrkit.rules import classify_vertices, julia_edges, validate_rule
+from fsrkit.dynamics import has_polynomial_growth, julia_edges, stability_threshold
+from fsrkit.rules import classify_vertices, validate_rule
 from fsrkit.spines import is_levy_free, non_expanding_spine, peripheral_cycles
 
 

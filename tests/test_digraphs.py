@@ -4,25 +4,31 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsrkit import digraphs
+from fsrkit.catalog import CATALOG, get_rule
 from fsrkit.digraphs import (
     Arc,
     DynDigraph,
     GrowthClass,
+    condensation,
     cycle_period,
     cycles_are_disjoint,
     growth_class,
     ideal_closure,
     path_count,
     radical_closure,
-    scc_and_preorder,
+    reachable_from,
+    recurrent_vertices,
     spectral_radius,
 )
+from fsrkit.report import analyze
 
 
 def g_of(n_vertices: int, arcs: list[tuple]) -> DynDigraph:
@@ -32,17 +38,18 @@ def g_of(n_vertices: int, arcs: list[tuple]) -> DynDigraph:
 
 def test_two_loops_one_vertex_single_scc():
     g = g_of(1, [(0, 0), (0, 0)])
-    sccs, reach = scc_and_preorder(g)
-    assert len(sccs) == 1
+    c = condensation(g)
+    assert c.sccs == [[0]] and c.internal == [2]
     assert growth_class(g, 0) == GrowthClass("exponential")
     assert path_count(g, 0, 5) == 32
 
 
 def test_loop_path_loop():
     g = g_of(2, [(0, 0), (0, 1), (1, 1)])
-    sccs, reach = scc_and_preorder(g)
-    assert len(sccs) == 2
-    assert (0, 1) in reach and (1, 0) not in reach
+    c = condensation(g)
+    assert c.sccs == [[1], [0]]  # sinks first
+    assert reachable_from(g, 0) == {0, 1} and reachable_from(g, 1) == {1}
+    assert c.reaches(0, 1) and not c.reaches(1, 0)
     assert growth_class(g, 0) == GrowthClass("polynomial", 1)
     assert path_count(g, 0, 5) == 6  # n+1 paths of length n
     for n in range(10):
@@ -51,8 +58,9 @@ def test_loop_path_loop():
 
 def test_acyclic_chain():
     g = g_of(3, [(0, 1), (1, 2)])
-    sccs, _ = scc_and_preorder(g)
-    assert len(sccs) == 3
+    c = condensation(g)
+    assert c.sccs == [[2], [1], [0]] and c.internal == [0, 0, 0]
+    assert c.chain == [0, 0, 0]
     assert growth_class(g, 0) == GrowthClass("polynomial", -1)
     assert path_count(g, 0, 1) == 1
     assert path_count(g, 0, 3) == 0
@@ -198,3 +206,76 @@ def test_growth_class_matches_exact_counts_random():
         v = rng.randrange(n)
         assert growth_class(g, v) == exact_growth_oracle(arcs, n, v), \
             (trial, arcs, v)
+
+
+def bfs_reach(g: DynDigraph, v) -> set:
+    """Reference reachability: a plain search over a fresh successor map."""
+    succ = {u: set() for u in g.vertices}
+    for a in g.arcs:
+        succ[a.src].add(a.dst)
+    seen = {v}
+    stack = [v]
+    while stack:
+        for w in succ[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def bfs_radical(g: DynDigraph, xs) -> set:
+    """Reference radical closure: ideal closure, then Tail, to a fixpoint."""
+    x = set().union(*(bfs_reach(g, v) for v in xs))
+    while True:
+        rec = {r for r in g.vertices
+               if any(r in bfs_reach(g, a.dst) for a in g.arcs if a.src == r)}
+        bad = {r for r in rec if not bfs_reach(g, r) <= x}
+        new = x | {v for v in g.vertices if not bfs_reach(g, v) & bad}
+        if new == x:
+            return x
+        x = set().union(*(bfs_reach(g, v) for v in new))
+
+
+def test_condensation_matches_bfs_oracle_random():
+    rng = random.Random(20261018)
+    for trial in range(300):
+        n = rng.randint(1, 9)
+        arcs = [(rng.randrange(n), rng.randrange(n))
+                for _ in range(rng.randint(0, 2 * n))]
+        g = g_of(n, arcs)
+        c = condensation(g)
+        reach = {v: bfs_reach(g, v) for v in g.vertices}
+        assert all(reachable_from(g, v) == reach[v] for v in g.vertices), \
+            (trial, arcs)
+        # components partition the vertices into mutual-reachability classes
+        assert sorted(v for comp in c.sccs for v in comp) == list(range(n))
+        for u in g.vertices:
+            for v in g.vertices:
+                same = u in reach[v] and v in reach[u]
+                assert (c.comp_of[u] == c.comp_of[v]) == same, (trial, arcs)
+                assert c.reaches(u, v) == (v in reach[u]), (trial, arcs)
+        # sinks first: no arc leads to a later component
+        assert all(c.comp_of[b] <= c.comp_of[a] for a, b in arcs), (trial, arcs)
+        on_cycle = {v for v in g.vertices
+                    if any(v in reach[b] for a, b in arcs if a == v)}
+        assert recurrent_vertices(g) == on_cycle, (trial, arcs)
+        seeds = rng.sample(range(n), rng.randint(0, n))
+        assert radical_closure(g, seeds) == bfs_radical(g, seeds), \
+            (trial, arcs, seeds)
+
+
+def test_analyze_condenses_each_digraph_once(monkeypatch):
+    built = Counter()
+    keep = []       # holds every digraph, so that no id is reused
+    original = digraphs.strongly_connected_components
+
+    def counting(g):
+        built[id(g)] += 1
+        keep.append(g)
+        return original(g)
+
+    monkeypatch.setattr(digraphs, "strongly_connected_components", counting)
+    for name in sorted(CATALOG):
+        built.clear()
+        analyze(get_rule(name))
+        assert built and max(built.values()) == 1, name

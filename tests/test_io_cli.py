@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from fsrkit.catalog import catalog, get_rule
+from fsrkit.catalog import CATALOG, catalog, get_rule
 from fsrkit.cli import main as cli_main
 from fsrkit.io import (
     canonical_json,
@@ -230,3 +231,78 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "power_spider_2" in proc.stdout
+
+
+FUZZ_VALUES = ["tz", "", "+", "edge", "tile", -1, 0, 2.5, None, True,
+               [], {}, ["edge", -1], ["tile", "t"], [1, 2], {"a": 1}]
+
+
+def _fuzz_slots(data, path=()):
+    """Paths of every dict value and list item in a JSON document."""
+    items = data.items() if isinstance(data, dict) else \
+        enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _fuzz_slots(value, path + (key,))
+
+
+def _fuzz_get(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def mutate_export(data, rng):
+    """One seeded single-field mutation of a rule export, in place: delete
+    a key, copy in a string of the same file, add a key, or set a value of
+    the wrong shape."""
+    slots = list(_fuzz_slots(data))
+    strings = [_fuzz_get(data, q) for q in slots
+               if isinstance(_fuzz_get(data, q), str)]
+    path = rng.choice(slots)
+    parent, key = _fuzz_get(data, path[:-1]), path[-1]
+    op = rng.random()
+    if isinstance(parent, dict) and op < 0.15:
+        del parent[key]
+    elif isinstance(parent, dict) and op < 0.25:
+        parent[rng.choice(strings)] = parent[key]
+    elif op < 0.6:
+        parent[key] = rng.choice(strings)
+    else:
+        parent[key] = rng.choice(FUZZ_VALUES)
+    return path
+
+
+def _set(data, path, value):
+    _fuzz_get(data, path[:-1])[path[-1]] = value
+    return path
+
+
+FUZZ_FIXED = [
+    ("power_spider_2", lambda d: _set(d, ("carrier", "tiles", "tL"), "tz")),
+    ("power_spider_2",
+     lambda d: _set(d, ("carrier", "edges", "a0"), ["edge", -1])),
+]
+
+
+def test_cli_fuzz_mutated_exports(tmp_path, capsys):
+    rng = random.Random(20261018)
+    exports = {name: json.dumps(rule_to_json(get_rule(name)))
+               for name in sorted(CATALOG)}
+    cases = list(FUZZ_FIXED) + [
+        (name, lambda d: mutate_export(d, rng))
+        for name in (rng.choice(sorted(CATALOG)) for _ in range(300))]
+    path = tmp_path / "mutated.json"
+    for name, mutate in cases:
+        data = json.loads(exports[name])
+        case = (name, mutate(data))
+        path.write_text(json.dumps(data))
+        for command in ("validate", "growth"):
+            capsys.readouterr()
+            try:
+                code, _ = run_cli("--json", command, str(path))
+            except Exception as exc:   # what the console would show as a traceback
+                pytest.fail(f"{case} {command}: {exc!r}")
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4), (case, command, code)
+            assert code == 0 or err.startswith("error:"), (case, command, err)

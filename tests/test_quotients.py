@@ -13,7 +13,7 @@ from fsrkit.catalog import (
     power_spider_2,
     tripod_pillow_4,
 )
-from fsrkit.dynamics import build_edge_digraph, build_tile_digraph
+from fsrkit.dynamics import build_edge_digraph, build_tile_digraph, julia_edges
 from fsrkit.errors import UnsupportedRegime, ValidationFailure
 from fsrkit.quotients import (
     CollapsibleSubcomplex,
@@ -25,7 +25,7 @@ from fsrkit.quotients import (
     validate_collapsible,
     vertex_sequence_on_edge,
 )
-from fsrkit.rules import Tower, classify_vertices, julia_edges, validate_rule
+from fsrkit.rules import Tower, classify_vertices, validate_rule
 
 
 def remarked(rule, marked):

@@ -12,14 +12,13 @@ import pytest
 from fsrkit import rules
 from fsrkit.catalog import CATALOG, doubling_edge, get_rule, power_spider_2
 from fsrkit.complexes import MINUS, PLUS, validate_complex
+from fsrkit.dynamics import julia_edges, julia_tiles
 from fsrkit.errors import BudgetExceeded, ValidationFailure
 from fsrkit.report import analyze
 from fsrkit.rules import (
     EdgeImage,
     Tower,
     classify_vertices,
-    julia_edges,
-    julia_tiles,
     power,
     require_valid_rule,
     shift,
