@@ -32,12 +32,13 @@ def sign_str(s: int) -> str:
 
 
 def sign_of(s: str | int) -> int:
-    if s in (1, -1):
-        return int(s)
+    """A dart sign from "+", "-" or the int 1/-1 (not a bool or a float)."""
     if s == "+":
         return PLUS
     if s == "-":
         return MINUS
+    if type(s) is int and s in (1, -1):
+        return s
     raise ValueError(f"bad orientation sign {s!r}")
 
 

@@ -19,11 +19,12 @@ against the explicitly built representatives.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
 
-from .complexes import Dart, MINUS, PLUS, dual_skeleton, flip
+from .complexes import Dart, MINUS, PLUS, dual_skeleton, flip, memo
 from .digraphs import condensation
 from .dynamics import (
     build_edge_digraph,
@@ -34,6 +35,7 @@ from .dynamics import (
 )
 from .errors import (
     BudgetExceeded,
+    FsrError,
     InternalInconsistency,
     UnsupportedRegime,
     ValidationFailure,
@@ -312,47 +314,39 @@ def fill_profile(pm: PiecewiseMap, p: float
                  ) -> dict[str, list[tuple[Fraction, Fraction, float]]]:
     """Per codomain edge, the fill value on each sub-interval between
     breakpoints (exact rational breakpoints, float fill values)."""
-    cover: dict[str, list[tuple[Fraction, Fraction, Fraction]]] = {
+    cover: dict[str, list[tuple[Fraction, Fraction, float]]] = {
         e: [] for e in pm.codomain.edges}
     for pc in pm.pieces:
         lo, hi = sorted((pc.img_a, pc.img_b))
         if lo == hi:
             continue
-        cover[pc.img_edge].append((lo, hi, pc.derivative()))
+        w = float(pc.derivative())
+        cover[pc.img_edge].append((lo, hi, w if p == inf else w ** (p - 1.0)))
     out: dict[str, list[tuple[Fraction, Fraction, float]]] = {}
     for e, ivs in cover.items():
-        length = pm.codomain.lengths[e]
-        cuts = sorted({Fraction(0), length,
+        cuts = sorted({Fraction(0), pm.codomain.lengths[e],
                        *(x for iv in ivs for x in iv[:2])})
-        prof = []
-        for a, b in zip(cuts, cuts[1:]):
-            total = 0.0
-            for lo, hi, deriv in ivs:
-                if lo <= a and b <= hi:
-                    if p == inf:
-                        total = max(total, float(deriv))
-                    else:
-                        total += float(deriv) ** (p - 1.0)
-            prof.append((a, b, total))
-        out[e] = prof
+        index = {x: i for i, x in enumerate(cuts)}
+        fill = [0.0] * (len(cuts) - 1)
+        # each sub-interval sums its covering pieces in piece order, so the
+        # floats are bitwise those of a per-interval scan
+        for lo, hi, w in ivs:
+            for i in range(index[lo], index[hi]):
+                fill[i] = max(fill[i], w) if p == inf else fill[i] + w
+        out[e] = list(zip(cuts, cuts[1:], fill))
     return out
 
 
-def sup_fill(pm: PiecewiseMap, p: float) -> tuple[float, str]:
-    prof = fill_profile(pm, p)
-    best, where = 0.0, ""
+def piecewise_energy(prof: dict[str, list[tuple[Fraction, Fraction, float]]],
+                     p: float) -> tuple[float, str]:
+    """E^p_p from a fill profile: the p-th root of the sup fill (the sup
+    itself at p = infinity), and the first edge attaining it."""
+    top, where = 0.0, ""
     for e, rows in prof.items():
-        for a, b, val in rows:
-            if val > best:
-                best, where = val, e
-    return best, where
-
-
-def piecewise_energy(pm: PiecewiseMap, p: float) -> tuple[float, str]:
-    top, where = sup_fill(pm, p)
-    if p == inf:
-        return top, where
-    return top ** (1.0 / p), where
+        for _, _, val in rows:
+            if val > top:
+                top, where = val, e
+    return (top if p == inf else top ** (1.0 / p)), where
 
 
 # ---------------------------------------------------------------------------
@@ -373,27 +367,147 @@ class CertificateReport:
     notes: dict = field(default_factory=dict)
 
 
-def _transform_for_certificate(rule: SubdivisionRule
-                               ) -> tuple[SubdivisionRule, int, int]:
-    """Power the rule until edge cycles are loops, then shift past the
-    stability threshold.  Returns (rule, power k1, shift s)."""
-    periods = recurrency_periods(rule)
-    k1 = 1
-    for per in periods.values():
-        k1 = k1 * per // math.gcd(k1, per)
-    cur = rule
-    if k1 > 1:
-        cur = power(rule, k1)
-    kthr = stability_threshold(cur)
-    s = max(kthr, 1)
-    cur = shift(cur, s)
-    return cur, k1, s
+def _bare(exc: FsrError) -> FsrError:
+    """A copy of ``exc`` without traceback or context.  A memoized failure
+    must hold no frames: they would refer back to the input rule."""
+    out = type(exc).__new__(type(exc), *exc.args)
+    out.__dict__.update(exc.__dict__)
+    return out
 
 
-def _blob_structure(g1: ConformalGraph, phi: PLGraphMap
-                    ) -> tuple[dict[str, int], dict[int, str]]:
+class _CertificateContext:
+    """The part of a certificate that depends on neither K nor p (see
+    ``crochet_certificate``); it holds nothing that refers to the input rule.
+
+    ``work`` is the rule powered ``k1`` times, so that edge cycles are loops,
+    and shifted ``s`` levels past the stability threshold.  ``phi`` is its
+    level-1 natural representative at unit lengths, and ``types1`` the
+    level-0 type of each level-1 edge.  An error of the transformation or of
+    the Julia stars is raised here; an error of the later, topological part
+    is kept in ``failure`` and raised where it ran before, after the checks
+    of the K-expanding lengths.  ``refused`` marks an F0 that is not a
+    forest."""
+
+    def __init__(self, rule: SubdivisionRule):
+        self.k1 = math.lcm(*recurrency_periods(rule).values())
+        work = power(rule, self.k1) if self.k1 > 1 else rule
+        self.s = max(stability_threshold(work), 1)
+        self.work = work = shift(work, self.s)
+        classes = classify_vertices(work)
+        # Julia vertices: choose the edge to remove (a preorder-maximal
+        # incident edge), which the lengths will make dominate its star
+        eg = condensation(build_edge_digraph(work))
+        self.removed: dict[str, str] = {}        # Julia vertex -> edge
+        self.boosts: dict[str, list[str]] = {}   # removed edge -> rest of star
+        for v in sorted(work.level0.vertices):
+            if classes.is_fatou[v]:
+                continue
+            incident = sorted({e for e in work.level0.edges
+                               if v in work.level0.edges[e]})
+            if any(work.level0.edges[e][0] == work.level0.edges[e][1] == v
+                   for e in incident):
+                raise UnsupportedRegime(
+                    f"Julia vertex {v} carries a loop edge; not isolated")
+            for a, b in (work.level0.edges[e] for e in incident):
+                other = b if a == v else a
+                if not classes.is_fatou[other]:
+                    raise UnsupportedRegime(
+                        f"Julia vertices {v} and {other} are adjacent; apply "
+                        "normalization first")
+            maximal = [e for e in incident
+                       if not any(x != e and eg.reaches(e, x) and
+                                  not eg.reaches(x, e) for x in incident)]
+            choice = min(maximal or incident)
+            self.removed[v] = choice
+            self.boosts[choice] = [e for e in incident if e != choice]
+        self.max_julia_degree = max(
+            (len(star) + 1 for star in self.boosts.values()), default=0)
+        self.failure: FsrError | None = None
+        self.refused = False
+        try:
+            self._topology()
+        except FsrError as exc:
+            self.failure = _bare(exc)
+
+    def _topology(self) -> None:
+        work = self.work
+        tower = Tower.of(work)
+        self.phi = phi = natural_representative(work, 1, 0)
+        g0, g1 = phi.codomain, phi.domain
+        dual0 = dual_skeleton(tower.up_to(0).complex)
+        self.paths = {v: _peripheral_complement(dual0, v, e)
+                      for v, e in self.removed.items()}
+        rec0 = recurrent_edge_ids(work, 0)
+        rec1 = recurrent_edge_ids(work, 1)
+        einfo1 = tower.up_to(1).einfo
+        self.types1 = {e: einfo1[e].type_cell for e in g1.edges}
+        self.f0_edges = f0_edges = sorted(rec0 - self.boosts.keys())
+        self.h1_edges = h1_edges = {e for e, t in self.types1.items()
+                                    if t not in self.boosts}
+        self.blob_of = blob_of = _blob_structure(g1, phi)
+
+        # forest structure of F0 and the recurrent phi-preimage of each edge
+        forest_adj: dict[str, list[tuple[str, str]]] = {}
+        for e in f0_edges:
+            a, b = g0.edges[e]
+            forest_adj.setdefault(a, []).append((e, b))
+            forest_adj.setdefault(b, []).append((e, a))
+        self.rec_lift = rec_lift = {}
+        for e1 in sorted(h1_edges):
+            act = phi.action[e1]
+            if isinstance(act, Onto) and e1 in rec1 and act.edge in f0_edges:
+                if act.edge in rec_lift:
+                    raise InternalInconsistency(
+                        f"edge {act.edge} has two recurrent lifts")
+                rec_lift[act.edge] = e1
+        missing = [e for e in f0_edges if e not in rec_lift]
+        if missing:
+            raise InternalInconsistency(f"no recurrent lift for {missing}")
+
+        rooted = _forest_rooted(forest_adj)
+        if rooted is None:
+            self.refused = True
+            return
+        self.depth, self.parent_edge, self.roots = rooted
+        counts: Counter[int] = Counter()
+        for e in h1_edges:
+            if isinstance(phi.action[e], Onto):
+                counts.update(blob_of[v] for v in g1.edges[e])
+        self.max_count = max(counts.values(), default=1)
+        # the level-1 dual vertex over each forest vertex
+        self.f1_vertex = f1_vertex = {}
+        for e0, e1 in sorted(rec_lift.items()):
+            for tile in g1.edges[e1]:
+                u = phi.vertex_image[tile]
+                prev = f1_vertex.get(u)
+                if prev is not None and blob_of[prev] != blob_of[tile]:
+                    raise InternalInconsistency(
+                        f"forest lift is not vertex-consistent at {u}")
+                f1_vertex[u] = tile
+        onto = Counter(a.edge for a in phi.action.values()
+                       if isinstance(a, Onto))
+        self.n_const = max(onto[e] for e in g0.edges)
+        ends = Counter(v for ab in g0.edges.values() for v in ab)
+        self.m_const = max(ends[t] for t in g0.vertices)
+
+
+def _certificate_context(rule: SubdivisionRule) -> _CertificateContext:
+    """The rule's certificate context, memoized on the rule together with an
+    error of its construction."""
+    m = memo(rule)
+    if "certificate" not in m:
+        try:
+            m["certificate"] = _CertificateContext(rule)
+        except FsrError as exc:
+            m["certificate"] = _bare(exc)
+    if isinstance(m["certificate"], FsrError):
+        raise _bare(m["certificate"])
+    return m["certificate"]
+
+
+def _blob_structure(g1: ConformalGraph, phi: PLGraphMap) -> dict[str, int]:
     """Components of the collapsed part of the level-1 dual: blob id per
-    vertex, plus the common image vertex of each blob."""
+    vertex; every blob must have a single image vertex."""
     parent = {v: v for v in g1.vertices}
 
     def find(x):
@@ -419,7 +533,7 @@ def _blob_structure(g1: ConformalGraph, phi: PLGraphMap
         if b in blob_image and blob_image[b] != img:
             raise InternalInconsistency("collapsed blob maps to two vertices")
         blob_image[b] = img
-    return blob_of, blob_image
+    return blob_of
 
 
 DEFAULT_K_GRID = (4, 16, 64, 256, 1024)
@@ -433,6 +547,18 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
     The rule must have polynomial growth and isolated Julia vertices (apply
     normalization first).  When ``k_factor`` is omitted a geometric grid is
     searched and the first certifying value returned.
+
+    What depends on neither K nor p is built once per rule and memoized on
+    it (``_CertificateContext``): the power-and-shift transform and its
+    vertex classes; the Julia-star choice (removed edges, boosts, maximal
+    Julia degree) and the dual path replacing each removed edge; the
+    recurrent edge ids, F0 and the H1 edges; the topology of the level-1
+    natural representative (vertex images, actions, dual endpoints of levels
+    0 and 1); the collapsed blobs, recurrent lifts and the rooted forest with
+    its level-1 vertices, blob incidence counts, N and M; and the error or
+    refusal any of these ends in.  Each (K, p) runs only the chain-rank
+    lengths, their lift to level 1 by edge type, the retraction pieces, the
+    pulls, the deformed map and the energies.
     """
     if not (1 < p < inf):
         raise ValidationFailure("certificate needs 1 < p < infinity",
@@ -451,65 +577,26 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
         best.notes["search"] = "K grid exhausted without certification"
         return best
 
-    work, k1, s = _transform_for_certificate(rule)
-    classes = classify_vertices(work)
-    tower = Tower.of(work)
+    ctx = _certificate_context(rule)
+    # lengths in which each removed edge dominates its Julia star (the boosts
+    # are among the pairs whose K-expansion chain_rank_lengths checks)
+    alpha = chain_rank_lengths(ctx.work, k_factor, boost_above=ctx.boosts)
+    if ctx.failure is not None:
+        raise _bare(ctx.failure)
 
-    # Julia vertices: choose the edge to remove (a preorder-maximal incident
-    # edge), then build lengths in which it dominates its star
-    eg = condensation(build_edge_digraph(work))
-
-    removed: dict[str, str] = {}
-    boosts: dict[str, list[str]] = {}
-    for v in sorted(work.level0.vertices):
-        if classes.is_fatou[v]:
-            continue
-        incident = sorted({e for e in work.level0.edges
-                           if v in work.level0.edges[e]})
-        if any(work.level0.edges[e][0] == work.level0.edges[e][1] == v
-               for e in incident):
-            raise UnsupportedRegime(
-                f"Julia vertex {v} carries a loop edge; not isolated")
-        for a, b in (work.level0.edges[e] for e in incident):
-            other = b if a == v else a
-            if not classes.is_fatou[other]:
-                raise UnsupportedRegime(
-                    f"Julia vertices {v} and {other} are adjacent; apply "
-                    "normalization first")
-        maximal = [e for e in incident
-                   if not any(x != e and eg.reaches(e, x) and
-                              not eg.reaches(x, e) for x in incident)]
-        choice = min(maximal or incident)
-        removed[v] = choice
-        boosts[choice] = [e for e in incident if e != choice]
-    removed_edges = frozenset(removed.values())
-    max_julia_degree = max(
-        (len([e for e in work.level0.edges
-              if v in work.level0.edges[e]])
-         for v in removed), default=0)
-
-    alpha = chain_rank_lengths(work, k_factor, boost_above=boosts)
-    for v, e_long in removed.items():
-        for e in work.level0.edges:
-            if v in work.level0.edges[e] and e != e_long:
-                if not alpha[e_long] > k_factor * alpha[e]:
-                    raise InternalInconsistency(
-                        "removed edge does not dominate its Julia star")
-
-    g0 = dual_conformal_graph(work, tower, 0, p, alpha)
-    phi = natural_representative(work, 1, 0, p, alpha)
-    g1 = phi.domain
-    lv0 = tower.up_to(0)
-    dual0 = dual_skeleton(lv0.complex)
+    phi = ctx.phi
+    g0 = ConformalGraph(phi.codomain.vertices, phi.codomain.edges, p, alpha)
+    g1 = ConformalGraph(phi.domain.vertices, phi.domain.edges, p,
+                        {e: alpha[t] for e, t in ctx.types1.items()})
 
     # retraction G0 -> H0 as explicit pieces
     rho = PiecewiseMap(g0, g0)
     for e in g0.edges:
-        if e not in removed_edges:
+        if e not in ctx.boosts:
             rho.pieces.append(Piece(e, Fraction(0), g0.lengths[e],
                                     e, Fraction(0), g0.lengths[e]))
-    for v, e_long in removed.items():
-        path = _peripheral_complement(dual0, v, e_long)
+    for v, e_long in ctx.removed.items():
+        path = ctx.paths[v]
         total = sum(alpha[x] for x, _ in path)
         src_len = g0.lengths[e_long]
         # orient: e_long runs between the two tiles flanking it; the path
@@ -527,73 +614,40 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
                                         Fraction(0)))
             pos += seg
     rho.check()
-    e_rho, _ = piecewise_energy(rho, p)
-    rho_envelope = ((max_julia_degree / k_factor) ** (p - 1.0) + 1.0) ** (1 / p)
-
-    # spine data of the transformed rule at levels 0 and 1
-    rec0 = recurrent_edge_ids(work, 0)
-    rec1 = recurrent_edge_ids(work, 1)
-    h0_edges = {e for e in g0.edges if e not in removed_edges}
-    f0_edges = sorted(rec0 & h0_edges)
-    h1_edges = {e for e in g1.edges
-                if tower.up_to(1).einfo[e].type_cell not in removed_edges}
-
-    blob_of, blob_image = _blob_structure(g1, phi)
-
-    # forest structure of F0 and the matching F1 lifts
-    forest_adj: dict[str, list[tuple[str, str]]] = {}
-    for e in f0_edges:
-        a, b = g0.edges[e]
-        forest_adj.setdefault(a, []).append((e, b))
-        forest_adj.setdefault(b, []).append((e, a))
-    # recurrent phi-preimage of each F0 edge
-    rec_lift: dict[str, str] = {}
-    for e1 in sorted(h1_edges):
-        act = phi.action[e1]
-        if isinstance(act, Onto) and e1 in rec1 and act.edge in f0_edges:
-            if act.edge in rec_lift:
-                raise InternalInconsistency(
-                    f"edge {act.edge} has two recurrent lifts")
-            rec_lift[act.edge] = e1
-    missing = [e for e in f0_edges if e not in rec_lift]
-    if missing:
-        raise InternalInconsistency(f"no recurrent lift for {missing}")
-
-    trees, depth, parent_edge, roots = _forest_rooted(forest_adj, f0_edges, g0)
-    if trees is None:
-        rep = CertificateReport(
+    e_rho, _ = piecewise_energy(fill_profile(rho, p), p)
+    if ctx.refused:
+        return CertificateReport(
             p, False, float("nan"), float("nan"), e_rho, float("nan"),
-            params={"K": k_factor, "power": k1, "shift": s},
+            params={"K": k_factor, "power": ctx.k1, "shift": ctx.s},
             case_bounds={},
             notes={"refused": "recurrent part of the retracted skeleton is "
                               "not a forest"})
-        return rep
+    rho_envelope = ((ctx.max_julia_degree / k_factor) ** (p - 1.0)
+                    + 1.0) ** (1 / p)
 
     # pull distances: per pulled vertex, capped by local edge lengths and
     # staggered so that every child pull strictly dominates its parent's
+    depth, parent_edge = ctx.depth, ctx.parent_edge
     max_depth = max(depth.values(), default=0)
-    counts = _blob_incidence_counts(g1, phi, blob_of, h1_edges)
-    max_count = max(counts.values(), default=1)
-    c_stag = max(2, math.ceil((4.0 * max(1, max_count)) ** (1.0 / (p - 1.0))))
-
-    f1_vertex = _forest_lift_vertices(g1, phi, blob_of, rec_lift)
+    c_stag = max(2, math.ceil((4.0 * max(1, ctx.max_count))
+                              ** (1.0 / (p - 1.0))))
     incident_lengths: dict[int, Fraction] = {}
-    for e1 in h1_edges:
+    for e1 in ctx.h1_edges:
         if isinstance(phi.action[e1], Collapse):
             continue
         for tile in g1.edges[e1]:
-            b = blob_of[tile]
+            b = ctx.blob_of[tile]
             cur = incident_lengths.get(b)
             if cur is None or g1.lengths[e1] < cur:
                 incident_lengths[b] = g1.lengths[e1]
 
     pulls: dict[str, Fraction] = {}
-    root_set = set(roots)
+    root_set = set(ctx.roots)
     for u in sorted(depth, key=lambda x: -depth[x]):
         if u in root_set:
             continue
         e_par, _ = parent_edge[u]
-        blob = blob_of[f1_vertex[u]]
+        blob = ctx.blob_of[ctx.f1_vertex[u]]
         cap = min(g0.lengths[e_par] / 8,
                   incident_lengths.get(blob, g0.lengths[e_par]) /
                   (4 * c_stag))
@@ -605,25 +659,22 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
             raise InternalInconsistency(f"no room to pull vertex {u}")
         pulls[u] = cap
 
-    psi = _deformed_map(g0, g1, phi, h1_edges, rec_lift, blob_of, f1_vertex,
-                        parent_edge, pulls, c_stag)
-    e_psi, worst_edge = piecewise_energy(psi, p)
+    psi = _deformed_map(ctx, g0, g1, pulls, c_stag)
+    prof = fill_profile(psi, p)
+    e_psi, worst_edge = piecewise_energy(prof, p)
 
     raw = e_rho * e_psi
     certified = raw < 1.0 - MARGIN
-    bound = raw ** (1.0 / k1)
-    n_const = max(
-        sum(1 for e1 in g1.edges
-            if isinstance(phi.action[e1], Onto)
-            and phi.action[e1].edge == e) for e in g0.edges)
-    m_const = max(
-        sum(1 for e in g0.edges for end in g0.edges[e] if end == t)
-        for t in g0.vertices)
+    bound = raw ** (1.0 / ctx.k1)
+    n_const, m_const = ctx.n_const, ctx.m_const
     eps_ratio = 1.0 / c_stag
+    # 1 - max fill over the recurrent forest edges (the epsilon_2 margin)
+    tree_slack = 1.0 - max((val for e in ctx.f0_edges
+                            for _, _, val in prof.get(e, ())), default=0.0)
     case_bounds = {
         "case1": m_const * n_const * eps_ratio ** (p - 1)
                  + n_const / k_factor ** (p - 1),
-        "case2": 1.0 - _tree_slack(psi, p, f0_edges, g0)
+        "case2": 1.0 - tree_slack
                  + n_const / k_factor ** (p - 1),
         "case3": n_const / k_factor ** (p - 1),
         "case4": n_const / (k_factor / 2.0) ** (p - 1),
@@ -632,24 +683,13 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
     return CertificateReport(
         p=p, certified=certified, bound=bound, raw_bound=raw,
         retraction_energy=e_rho, deformation_energy=e_psi,
-        params={"K": k_factor, "power": k1, "shift": s,
+        params={"K": k_factor, "power": ctx.k1, "shift": ctx.s,
                 "stagger": c_stag, "max_depth": max_depth,
                 "pulls": {u: str(v) for u, v in sorted(pulls.items())},
-                "N": n_const, "M": m_const, "L": max_julia_degree},
+                "N": n_const, "M": m_const, "L": ctx.max_julia_degree},
         case_bounds=case_bounds,
         notes={"worst_fill_edge": worst_edge},
     )
-
-
-def _tree_slack(psi: PiecewiseMap, p: float, f0_edges: list[str],
-                g0: ConformalGraph) -> float:
-    """1 - max fill over the recurrent forest edges (the epsilon_2 margin)."""
-    prof = fill_profile(psi, p)
-    worst = 0.0
-    for e in f0_edges:
-        for a, b, val in prof.get(e, []):
-            worst = max(worst, val)
-    return 1.0 - worst
 
 
 def _peripheral_complement(dual0, v: str, e_long: str) -> list[Dart]:
@@ -686,12 +726,12 @@ def _peripheral_complement(dual0, v: str, e_long: str) -> list[Dart]:
     return out
 
 
-def _forest_rooted(forest_adj, f0_edges, g0):
-    """Root each tree component at a center; None when a cycle exists."""
+def _forest_rooted(forest_adj):
+    """Root each tree component at a center: (depth, parent_edge, roots), or
+    None when a cycle exists."""
     seen: set[str] = set()
     depth: dict[str, int] = {}
     parent_edge: dict[str, tuple[str, str]] = {}   # vertex -> (edge, parent)
-    trees: list[list[str]] = []
     roots: list[str] = []
     for v0 in sorted(forest_adj):
         if v0 in seen:
@@ -707,7 +747,7 @@ def _forest_rooted(forest_adj, f0_edges, g0):
                     comp.add(wv)
                     stack.append(wv)
         if len(edges_in) != len(comp) - 1:
-            return None, None, None, None
+            return None
         seen |= comp
         # center: vertex minimizing eccentricity
         def ecc(r: str) -> int:
@@ -723,7 +763,6 @@ def _forest_rooted(forest_adj, f0_edges, g0):
 
         root = min(sorted(comp), key=lambda r: (ecc(r), r))
         roots.append(root)
-        trees.append(sorted(comp))
         depth[root] = 0
         q = [root]
         visited = {root}
@@ -735,36 +774,12 @@ def _forest_rooted(forest_adj, f0_edges, g0):
                     depth[wv] = depth[u] + 1
                     parent_edge[wv] = (e, u)
                     q.append(wv)
-    return trees, depth, parent_edge, roots
+    return depth, parent_edge, roots
 
 
-def _blob_incidence_counts(g1, phi, blob_of, h1_edges):
-    counts: dict[int, int] = {}
-    for e in h1_edges:
-        if isinstance(phi.action[e], Collapse):
-            continue
-        a, b = g1.edges[e]
-        for v in (a, b):
-            counts[blob_of[v]] = counts.get(blob_of[v], 0) + 1
-    return counts
-
-
-def _forest_lift_vertices(g1, phi, blob_of, rec_lift) -> dict[str, str]:
-    """Level-1 dual vertex over each forest vertex, via the recurrent lifts."""
-    f1_vertex: dict[str, str] = {}
-    for e0, e1 in sorted(rec_lift.items()):
-        for tile in g1.edges[e1]:
-            u = phi.vertex_image[tile]
-            prev = f1_vertex.get(u)
-            if prev is not None and blob_of[prev] != blob_of[tile]:
-                raise InternalInconsistency(
-                    f"forest lift is not vertex-consistent at {u}")
-            f1_vertex[u] = tile
-    return f1_vertex
-
-
-def _deformed_map(g0, g1, phi, h1_edges, rec_lift, blob_of, f1_vertex,
-                  parent_edge, pulls, c_stag) -> PiecewiseMap:
+def _deformed_map(ctx: _CertificateContext, g0: ConformalGraph,
+                  g1: ConformalGraph, pulls: dict[str, Fraction],
+                  c_stag: int) -> PiecewiseMap:
     """The deformation of phi restricted to the H1 edges, as exact pieces.
 
     Every non-root vertex u of the recurrent forest is pulled, with the
@@ -773,9 +788,11 @@ def _deformed_map(g0, g1, phi, h1_edges, rec_lift, blob_of, f1_vertex,
     the pull; recurrent lifts over forest edges keep an isometric core that
     starts at the displaced child point.
     """
+    phi, blob_of, parent_edge = ctx.phi, ctx.blob_of, ctx.parent_edge
     psi = PiecewiseMap(g1, g0)
-    rec_lift_edges = set(rec_lift.values())
-    pulled_blob = {u: blob_of[t] for u, t in f1_vertex.items() if u in pulls}
+    rec_lift_edges = set(ctx.rec_lift.values())
+    pulled_blob = {u: blob_of[t] for u, t in ctx.f1_vertex.items()
+                   if u in pulls}
 
     def pull_of(tile: str) -> tuple[str, str, Fraction, Fraction] | None:
         u = phi.vertex_image[tile]
@@ -785,7 +802,7 @@ def _deformed_map(g0, g1, phi, h1_edges, rec_lift, blob_of, f1_vertex,
         m = pulls[u]
         return u, e_par, m, c_stag * m
 
-    for e1 in sorted(h1_edges):
+    for e1 in sorted(ctx.h1_edges):
         act = phi.action[e1]
         if isinstance(act, Collapse):
             continue   # pulled blobs stay collapsed at their displaced points

@@ -55,6 +55,13 @@ def _require_ids(*groups: Iterable) -> None:
                                         check="schema")
 
 
+def _int(x: Any) -> int:
+    """An integer field of a file: a JSON int, not a bool or a float."""
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
 def complex_from_json(data: dict, marked: frozenset[str] = frozenset()
                       ) -> SphereComplex:
     try:
@@ -122,7 +129,7 @@ def rule_from_json(data: dict) -> SubdivisionRule:
             map_vertices=dict(mp["vertices"]),
             map_edges={e: EdgeImage(img, sign_of(s))
                        for e, (img, s) in mp["edges"].items()},
-            map_tiles={t: TileImage(img, int(a))
+            map_tiles={t: TileImage(img, _int(a))
                        for t, (img, a) in mp["tiles"].items()},
             metadata=dict(data.get("metadata", {})),
         )
@@ -150,9 +157,11 @@ def multicurve_to_json(mc: MulticurveSpec) -> dict:
 def multicurve_from_json(data: dict) -> MulticurveSpec:
     try:
         curves = tuple(data["curves"])
-        lifts = tuple(Lift(img, pre, int(deg))
+        lifts = tuple(Lift(img, pre, _int(deg))
                       for img, pre, deg in data["lifts"])
-        return MulticurveSpec(curves, lifts, data.get("map_degree"))
+        degree = data.get("map_degree")
+        return MulticurveSpec(curves, lifts,
+                              None if degree is None else _int(degree))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationFailure(f"malformed multicurve data: {exc}",
                                 check="schema") from exc

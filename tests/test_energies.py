@@ -3,18 +3,24 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 from math import inf
 
 import pytest
 
+from fsrkit import energies
 from fsrkit.catalog import CATALOG, get_rule, power_spider_2
 from fsrkit.digraphs import path_count
 from fsrkit.dynamics import build_edge_digraph
 from fsrkit.energies import (
+    DEFAULT_K_GRID,
     Collapse,
     ConformalGraph,
     Onto,
+    Piece,
+    PiecewiseMap,
     PLGraphMap,
     asymptotic_bounds,
     crochet_certificate,
@@ -23,11 +29,13 @@ from fsrkit.energies import (
     energy_1p,
     energy_pp,
     fill_pp,
+    fill_profile,
     natural_energy_levels,
     natural_representative,
 )
-from fsrkit.errors import ValidationFailure
+from fsrkit.errors import FsrError, ValidationFailure
 from fsrkit.multicurves import Lift, MulticurveSpec
+from fsrkit.report import P_SAMPLES, analyze
 
 
 def two_edge_fixture(k: int, p: float) -> PLGraphMap:
@@ -217,6 +225,111 @@ def test_certificate_monotone_grid():
         assert rep.certified
         bounds.append(rep.bound)
     assert all(b < 1 for b in bounds)
+
+
+def fill_profile_oracle(pm: PiecewiseMap, p: float) -> dict:
+    """Reference fill profile: for every sub-interval between breakpoints,
+    scan all pieces with exact Fraction comparisons."""
+    cover = {e: [] for e in pm.codomain.edges}
+    for pc in pm.pieces:
+        lo, hi = sorted((pc.img_a, pc.img_b))
+        if lo == hi:
+            continue
+        cover[pc.img_edge].append((lo, hi, pc.derivative()))
+    out = {}
+    for e, ivs in cover.items():
+        length = pm.codomain.lengths[e]
+        cuts = sorted({Fraction(0), length,
+                       *(x for iv in ivs for x in iv[:2])})
+        prof = []
+        for a, b in zip(cuts, cuts[1:]):
+            total = 0.0
+            for lo, hi, deriv in ivs:
+                if lo <= a and b <= hi:
+                    if p == inf:
+                        total = max(total, float(deriv))
+                    else:
+                        total += float(deriv) ** (p - 1.0)
+            prof.append((a, b, total))
+        out[e] = prof
+    return out
+
+
+def random_piecewise_map(rng: random.Random) -> PiecewiseMap:
+    """Overlapping pieces with rational breakpoints onto three edges, some of
+    them with a degenerate image (lo == hi)."""
+    def frac(top: Fraction) -> Fraction:
+        den = rng.randint(1, 7)
+        return Fraction(rng.randint(0, int(top * den)), den)
+
+    cod_len = {f"f{i}": Fraction(rng.randint(1, 20), rng.randint(1, 4))
+               for i in range(3)}
+    cod = ConformalGraph(("x", "y"), {f: ("x", "y") for f in cod_len}, 2.0,
+                         cod_len)
+    dom = ConformalGraph(("a", "b"), {"e": ("a", "b")}, 2.0,
+                         {"e": Fraction(100)})
+    pm = PiecewiseMap(dom, cod)
+    for _ in range(rng.randint(0, 14)):
+        f = rng.choice(sorted(cod_len))
+        ia = frac(cod_len[f])
+        ib = ia if rng.random() < 0.15 else frac(cod_len[f])
+        sa = Fraction(rng.randint(0, 60), rng.randint(1, 5))
+        sb = sa + Fraction(rng.randint(1, 30), rng.randint(1, 9))
+        pm.pieces.append(Piece("e", sa, sb, f, ia, ib))
+    pm.check()
+    return pm
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0, 4.0, 8.0, inf])
+def test_fill_profile_matches_oracle(p):
+    rng = random.Random(8101)
+    for _ in range(300):
+        pm = random_piecewise_map(rng)
+        assert fill_profile(pm, p) == fill_profile_oracle(pm, p)
+
+
+def _attempt(rule, p, k):
+    try:
+        return repr(crochet_certificate(rule, p, k))
+    except FsrError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_certificate_context_matches_fresh_rule(name):
+    # the warm rule reuses its memoized context; each fresh copy builds one
+    warm = get_rule(name)
+    for p in (p for p in P_SAMPLES if p > 1):
+        for k in DEFAULT_K_GRID:
+            fresh = _attempt(get_rule(name), p, k)
+            assert _attempt(warm, p, k) == fresh, (name, p, k)
+
+
+def test_certificate_transforms_each_rule_once(monkeypatch):
+    calls = Counter()
+    searched = []       # rules passed to the certificate, kept alive
+    for fn in ("power", "shift"):
+        def counting(*args, fn=fn, original=getattr(energies, fn)):
+            calls[fn] += 1
+            return original(*args)
+        monkeypatch.setattr(energies, fn, counting)
+    certificate = energies.crochet_certificate
+
+    def recording(rule, p, k_factor=None):
+        if all(r is not rule for r in searched):
+            searched.append(rule)
+        return certificate(rule, p, k_factor)
+
+    monkeypatch.setattr(energies, "crochet_certificate", recording)
+    reached = 0
+    for name in sorted(CATALOG):
+        calls.clear()
+        searched.clear()
+        analyze(get_rule(name))
+        assert calls["shift"] <= len(searched), (name, calls)
+        assert calls["power"] <= len(searched), (name, calls)
+        reached += bool(searched)
+    assert reached >= 4
 
 
 def test_asymptotic_bounds_p1_exact():

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,8 @@ from fsrkit.multicurves import Lift, MulticurveSpec
 from fsrkit.render import render_complex, render_rule_level
 from fsrkit.report import analyze
 from fsrkit.rules import Tower, classify_vertices, validate_rule
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_rule_roundtrip_all_catalog(tmp_path):
@@ -59,6 +63,14 @@ def test_analyze_deterministic():
     r1 = canonical_json(analyze(rule).to_json())
     r2 = canonical_json(analyze(get_rule("square_spider_julia")).to_json())
     assert r1 == r2
+
+
+def test_catalog_report_bytes_match_benchmark_hashes():
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    for name in sorted(CATALOG):
+        text = canonical_json(analyze(get_rule(name)).to_json())
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == expected["catalog_report"][name], name
 
 
 def test_analyze_exponential_regime_sections():
@@ -152,6 +164,31 @@ def test_cli_energy_bad_exponent_exit_code(capsys, p):
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _first_level0_sign(d):
+    d["level0"]["tiles"][0][1][0][1] = True
+
+
+@pytest.mark.parametrize("command, data", [
+    ("validate", lambda: _mutated_export(
+        "power_spider_2",
+        lambda d: _set(d, ("map", "tiles", "tL"), ["t", 0.9]))),
+    ("validate", lambda: _mutated_export("power_spider_2", _first_level0_sign)),
+    ("multicurve", lambda: {"curves": ["g"], "lifts": [["g", "g", 1.7]]}),
+    ("multicurve", lambda: {"curves": ["g"], "lifts": [["g", "g", 1]],
+                            "map_degree": True}),
+], ids=["float-alignment", "bool-dart-sign", "float-lift-degree",
+        "bool-map-degree"])
+def test_cli_rejects_inexact_integers_and_signs(tmp_path, capsys, command,
+                                                data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data()))
+    argv = ["--spec", str(path)] if command == "multicurve" else [str(path)]
+    code, out = run_cli(command, *argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "malformed" in err
 
 
 @pytest.mark.parametrize("command", ["validate", "multicurve"])
@@ -276,6 +313,12 @@ def mutate_export(data, rng):
 def _set(data, path, value):
     _fuzz_get(data, path[:-1])[path[-1]] = value
     return path
+
+
+def _mutated_export(name, mutate):
+    data = rule_to_json(get_rule(name))
+    mutate(data)
+    return data
 
 
 FUZZ_FIXED = [
