@@ -10,10 +10,11 @@ digraph object.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .complexes import memo
 from .errors import InternalInconsistency
@@ -46,15 +47,21 @@ class DynDigraph:
             if a.src not in vs or a.dst not in vs:
                 raise ValueError(f"arc {a} references unknown vertex")
 
-    def adjacency_matrix(self, order: Sequence[Label] | None = None) -> np.ndarray:
+    def arc_counts(self, order: Sequence[Label] | None = None
+                   ) -> list[list[int]]:
         """Arc counts among the vertices of order (default: all vertices)."""
         order = list(order) if order is not None else list(self.vertices)
         idx = {v: i for i, v in enumerate(order)}
-        m = np.zeros((len(order), len(order)), dtype=np.int64)
+        m = [[0] * len(order) for _ in order]
         for a in self.arcs:
             if a.src in idx and a.dst in idx:
-                m[idx[a.src], idx[a.dst]] += 1
+                m[idx[a.src]][idx[a.dst]] += 1
         return m
+
+    def adjacency_matrix(self, order: Sequence[Label] | None = None):
+        """``arc_counts`` as an int64 numpy array; imports numpy."""
+        import numpy as np
+        return np.array(self.arc_counts(order), dtype=np.int64)
 
     def to_dot(self, name: str = "G") -> str:
         lines = [f'digraph "{name}" {{']
@@ -304,49 +311,54 @@ class CertifiedValue:
         return self.upper - self.lower
 
 
-def _pf_irreducible(m: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000
-                    ) -> CertifiedValue:
-    """Perron eigenvalue of an irreducible nonnegative matrix with
-    Collatz-Wielandt bounds from the final positive iterate."""
-    n = m.shape[0]
-    if n == 0:
-        return CertifiedValue(0.0, 0.0, 0.0)
-    shifted = m.astype(float) + np.eye(n)
-    x = np.ones(n)
-    lo, hi = 0.0, float("inf")
+def _pf_irreducible(m: Sequence[Sequence[float]], tol: float = 1e-12,
+                    max_iter: int = 100_000) -> CertifiedValue:
+    """Perron eigenvalue of an irreducible nonnegative matrix (rows m[i][j]):
+    a float power iteration on m + I, then Collatz-Wielandt bounds
+    min/max (m x)_i / x_i on the final iterate x, a rational vector,
+    evaluated exactly and rounded outward, so they bracket the radius."""
+    a = [[float(v) for v in row] for row in m]
+    shifted = [[v + (i == j) for j, v in enumerate(row)]
+               for i, row in enumerate(a)]
+    x = [1.0] * len(a)
     for _ in range(max_iter):
-        y = shifted @ x
-        ratios = y / x
-        lo, hi = float(ratios.min()), float(ratios.max())
+        y = [sum(map(operator.mul, row, x)) for row in shifted]
+        ratios = [yi / xi for yi, xi in zip(y, x) if xi > 0]
+        lo, hi = min(ratios), max(ratios)
+        norm = math.sqrt(sum(v * v for v in y))
+        x = [v / norm for v in y]
         if hi - lo <= tol * max(1.0, hi):
-            x = y / np.linalg.norm(y)
             break
-        x = y / np.linalg.norm(y)
-    # Collatz-Wielandt for the unshifted matrix
-    y = m.astype(float) @ x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(x > 0, y / x, np.nan)
-    lo = float(np.nanmin(ratios))
-    hi = float(np.nanmax(ratios))
-    val = float((lo + hi) / 2)
-    return CertifiedValue(val, lo, hi)
+    # Collatz-Wielandt for the unshifted matrix, in exact arithmetic
+    fx = [Fraction(v) for v in x]
+    ratios = [sum(Fraction(v) * fx[j] for j, v in enumerate(row) if v) / fx[i]
+              for i, row in enumerate(a) if x[i] > 0]
+    lo, hi = min(ratios), max(ratios)
+    lower, upper = float(lo), float(hi)
+    if lower > lo:
+        lower = math.nextafter(lower, -math.inf)
+    if upper < hi:
+        upper = math.nextafter(upper, math.inf)
+    return CertifiedValue((lower + upper) / 2, lower, upper)
 
 
-def spectral_radius(m: np.ndarray, tol: float = 1e-12) -> CertifiedValue:
-    """Certified spectral radius of a nonnegative matrix via SCC blocks."""
-    n = m.shape[0]
-    if n == 0:
-        return CertifiedValue(0.0, 0.0, 0.0)
+def spectral_radius(m: Sequence[Sequence[float]], tol: float = 1e-12
+                    ) -> CertifiedValue:
+    """Certified spectral radius of a nonnegative square matrix given as
+    rows m[i][j], over the irreducible blocks (cyclic strong components).
+    ``value`` is the largest block estimate; the interval is [max lower,
+    max upper] over the blocks' exact outward-rounded Collatz-Wielandt
+    intervals, so it holds the largest block radius."""
+    n = len(m)
     g = DynDigraph(list(range(n)),
-                   [Arc(i, j) for i in range(n) for j in range(n) if m[i, j] > 0])
+                   [Arc(i, j) for i in range(n) for j in range(n) if m[i][j] > 0])
     c = condensation(g)
-    best = CertifiedValue(0.0, 0.0, 0.0)
+    best = lower = upper = 0.0
     for comp, k in zip(c.sccs, c.internal):
         if k == 0:
             continue  # no cycle: contributes 0
         idx = sorted(comp)
-        sub = m[np.ix_(idx, idx)]
-        cand = _pf_irreducible(sub, tol=tol)
-        if cand.value > best.value:
-            best = cand
-    return best
+        cand = _pf_irreducible([[m[i][j] for j in idx] for i in idx], tol=tol)
+        best = max(best, cand.value)
+        lower, upper = max(lower, cand.lower), max(upper, cand.upper)
+    return CertifiedValue(best, lower, upper)

@@ -185,7 +185,7 @@ def edge_growth_rate(rule: SubdivisionRule, e0: str,
     if cls.kind == "polynomial":
         return CertifiedValue(1.0, 1.0, 1.0)
     keep = sorted(reachable_from(g, e0))
-    return spectral_radius(g.adjacency_matrix(keep), tol=tol)
+    return spectral_radius(g.arc_counts(keep), tol=tol)
 
 
 def recurrency_periods(rule: SubdivisionRule) -> dict[str, int]:

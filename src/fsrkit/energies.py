@@ -629,8 +629,12 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
     # staggered so that every child pull strictly dominates its parent's
     depth, parent_edge = ctx.depth, ctx.parent_edge
     max_depth = max(depth.values(), default=0)
-    c_stag = max(2, math.ceil((4.0 * max(1, ctx.max_count))
-                              ** (1.0 / (p - 1.0))))
+    try:
+        c_stag = max(2, math.ceil((4.0 * max(1, ctx.max_count))
+                                  ** (1.0 / (p - 1.0))))
+    except OverflowError:
+        raise UnsupportedRegime(f"certificate stagger exceeds the float "
+                                f"range at p = {p}") from None
     incident_lengths: dict[int, Fraction] = {}
     for e1 in ctx.h1_edges:
         if isinstance(phi.action[e1], Collapse):

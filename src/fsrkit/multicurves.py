@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .digraphs import (
     Arc,
     CertifiedValue,
@@ -68,22 +66,22 @@ class MulticurveSpec:
                         f"map degree {self.map_degree}", check="multicurve")
 
 
-def p_matrix(mc: MulticurveSpec, p: float) -> np.ndarray:
+def p_matrix(mc: MulticurveSpec, p: float) -> list[list[float]]:
     """Matrix of the linear p-transformation: entry (j, i) sums deg^(1-p)
     over components of the preimage of curve i assigned to curve j."""
     if p != math.inf and p < 1:
         raise ValidationFailure("exponent p must be >= 1", check="multicurve")
     n = len(mc.curves)
     idx = {c: k for k, c in enumerate(mc.curves)}
-    m = np.zeros((n, n))
+    m = [[0.0] * n for _ in range(n)]
     for lf in mc.lifts:
         if lf.preimage == INESSENTIAL:
             continue
         i, j = idx[lf.image], idx[lf.preimage]
         if p == math.inf:
-            m[j, i] += 1.0 if lf.degree == 1 else 0.0
+            m[j][i] += 1.0 if lf.degree == 1 else 0.0
         else:
-            m[j, i] += float(lf.degree) ** (1.0 - p)
+            m[j][i] += float(lf.degree) ** (1.0 - p)
     return m
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,6 +149,45 @@ def test_spectral_radius_reducible_blocks():
     m = np.array([[2, 1, 0], [0, 1, 1], [0, 1, 0]])
     sr = spectral_radius(m)
     assert abs(sr.value - 2.0) < 1e-9
+
+
+def _column_stochastic(rng: random.Random, n: int, r: int) -> list[list[int]]:
+    """Nonnegative integers whose columns all sum to r: radius exactly r."""
+    m = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for _ in range(r):
+            m[rng.randrange(n)][j] += 1
+    return m
+
+
+def test_spectral_radius_brackets_exactly():
+    rng = random.Random(20260)
+    for _ in range(3000):
+        r = rng.randint(1, 9)
+        sr = spectral_radius(_column_stochastic(rng, rng.randint(1, 7), r))
+        assert Fraction(sr.lower) <= r <= Fraction(sr.upper)
+    sr = spectral_radius([[5, 2], [2, 5]])
+    assert sr.lower <= 7.0 <= sr.upper
+    fib = spectral_radius([[1, 1], [1, 0]])
+    lo, hi = Fraction(fib.lower), Fraction(fib.upper)
+    assert lo * lo - lo - 1 < 0 < hi * hi - hi - 1
+
+
+def test_spectral_radius_interval_spans_blocks():
+    # the [[c]] block has the larger estimate, but the Fibonacci block has
+    # the larger radius: c lies between that block's estimate and phi
+    c = 1.61803398874985
+    sr = spectral_radius([[1, 1, 0], [1, 0, 0], [0, 0, c]])
+    assert sr.value == c
+    lo, hi = Fraction(sr.lower), Fraction(sr.upper)
+    assert lo * lo - lo - 1 < 0 < hi * hi - hi - 1
+
+
+def test_arc_counts_match_adjacency_matrix():
+    g = g_of(3, [(0, 1), (0, 1), (1, 2), (2, 0), (2, 2)])
+    assert g.arc_counts() == [[0, 2, 0], [0, 0, 1], [1, 0, 1]]
+    assert g.arc_counts([2, 0]) == [[1, 1], [0, 0]]
+    assert g.adjacency_matrix([2, 0]).tolist() == [[1, 1], [0, 0]]
 
 
 def exact_growth_oracle(arcs: list[tuple], n_vertices: int, v: int) -> GrowthClass:

@@ -166,6 +166,17 @@ def test_cli_energy_bad_exponent_exit_code(capsys, p):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("p", ["1.0001", "1.000000000001"])
+def test_cli_energy_exponent_near_one(capsys, p):
+    # the certificate's stagger leaves the float range; the natural
+    # representatives still bound the energy
+    code, out = run_cli("--json", "energy", "power_spider_2", "--p", p)
+    assert code == 0 and "Traceback" not in capsys.readouterr().err
+    data = json.loads(out)
+    assert data["certified"] is False and data["certificate"] is None
+    assert data["upper_source"].startswith("natural representative")
+
+
 def _first_level0_sign(d):
     d["level0"]["tiles"][0][1][0][1] = True
 

@@ -41,9 +41,9 @@ def fibonacci_pattern() -> MulticurveSpec:
 def test_p_matrix_values():
     mc = two_lifts_degree_3()
     assert p_matrix(mc, 1.0) == np.array([[2.0]])
-    assert abs(p_matrix(mc, 2.0)[0, 0] - 2 / 3) < 1e-15
-    assert p_matrix(mc, math.inf)[0, 0] == 0.0
-    assert p_matrix(levy_pattern(), math.inf)[0, 0] == 1.0
+    assert abs(p_matrix(mc, 2.0)[0][0] - 2 / 3) < 1e-15
+    assert p_matrix(mc, math.inf)[0][0] == 0.0
+    assert p_matrix(levy_pattern(), math.inf)[0][0] == 1.0
 
 
 def test_lambda_exact_integers():
