@@ -111,22 +111,6 @@ class SphereComplex:
         """Counterclockwise-next dart out of the same vertex as ``d``."""
         return flip(self.walk_prev(d))
 
-    def vertex_darts(self) -> dict[str, list[Dart]]:
-        """Outgoing darts per vertex (insertion order, not rotation order)."""
-        m = memo(self)
-        if "vdarts" in m:
-            return m["vdarts"]
-        out: dict[str, list[Dart]] = {v: [] for v in self.vertices}
-        for e, (t, h) in self.edges.items():
-            out[t].append((e, PLUS))
-            out[h].append((e, MINUS))
-        m["vdarts"] = out
-        return out
-
-    def degree(self, v: str) -> int:
-        """Number of darts out of v (loops count twice)."""
-        return len(self.vertex_darts()[v])
-
 
 # ---------------------------------------------------------------------------
 # validation

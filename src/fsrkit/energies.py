@@ -435,8 +435,14 @@ class _CertificateContext:
         self.phi = phi = natural_representative(work, 1, 0)
         g0, g1 = phi.codomain, phi.domain
         dual0 = dual_skeleton(tower.up_to(0).complex)
-        self.paths = {v: _peripheral_complement(dual0, v, e)
-                      for v, e in self.removed.items()}
+        # each replacement path runs from the removed dual edge's tail to its
+        # head, as the retraction maps that edge onto it
+        self.paths = {}
+        for v, e in self.removed.items():
+            path = _peripheral_complement(dual0, v, e)
+            if path and dual0.dual_tail(path[0]) != dual0.dual_tail((e, PLUS)):
+                path = [flip(d) for d in reversed(path)]
+            self.paths[v] = path
         rec0 = recurrent_edge_ids(work, 0)
         rec1 = recurrent_edge_ids(work, 1)
         einfo1 = tower.up_to(1).einfo
@@ -697,8 +703,8 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
 
 
 def _peripheral_complement(dual0, v: str, e_long: str) -> list[Dart]:
-    """The dual-face cycle around v minus the removed dual edge, oriented
-    from one endpoint of the removed edge to the other."""
+    """The dual-face cycle around v minus the removed dual edge: a path
+    between the two ends of the removed edge, in face-cycle order."""
     face_idx = dual0.face_vertex.index(v)
     orbit = [d for d, i in dual0.face_of_dart.items() if i == face_idx]
     rot_index = {t: {d: i for i, d in enumerate(r)}
@@ -717,17 +723,7 @@ def _peripheral_complement(dual0, v: str, e_long: str) -> list[Dart]:
         cyc.append(cur)
         cur = face_next(cur)
     k = next(i for i, d in enumerate(cyc) if d[0] == e_long)
-    path_darts = cyc[k + 1:] + cyc[:k]
-    # orientation relative to the removed edge: the path must run from the
-    # head tile of the removed dart to its tail tile, i.e. reverse of the
-    # cycle direction matching the dart; as pieces it only matters that the
-    # chain is consecutive, which the face cycle guarantees.
-    out: list[Dart] = []
-    for d in path_darts:
-        s = PLUS if d[1] == PLUS else MINUS
-        out.append((d[0], s))
-    # express as (edge, direction along tail->head coordinates)
-    return out
+    return cyc[k + 1:] + cyc[:k]
 
 
 def _forest_rooted(forest_adj):

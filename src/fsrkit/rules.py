@@ -9,8 +9,9 @@ id and copies are addressed by the level-1 cell they replicate.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .complexes import (
     Dart,
@@ -404,14 +405,16 @@ def _check_rule(rule: SubdivisionRule
 
     # degree uniformity across cells
     d = index.degree
+    lifts = Counter(img.edge for img in rule.map_edges.values())
     for e0 in c0.edges:
-        lifts = [e1 for e1, img in rule.map_edges.items() if img.edge == e0]
-        if len(lifts) != d:
+        if lifts[e0] != d:
             return fail("degree",
-                        f"edge {e0} has {len(lifts)} lifts, expected {d}")
+                        f"edge {e0} has {lifts[e0]} lifts, expected {d}")
+    totals: Counter[str] = Counter()
+    for v1, img in rule.map_vertices.items():
+        totals[img] += index.local_degree[v1]
     for v0 in c0.vertices:
-        total = sum(index.local_degree[v1]
-                    for v1, img in rule.map_vertices.items() if img == v0)
+        total = totals[v0]
         if total != d:
             return fail("degree",
                         f"vertex {v0} preimage local degrees sum to {total}, "
@@ -499,8 +502,7 @@ def require_valid_rule(rule: SubdivisionRule) -> RuleIndex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CellInfo:
+class CellInfo(NamedTuple):
     kind: Kind
     parent: str | None = None        # containing cell id one level down
     parent_kind: Kind | None = None
@@ -573,14 +575,71 @@ def _vertex_dynamics(rule: SubdivisionRule, index: RuleIndex) -> dict[str, str]:
             for v in rule.level0.vertices}
 
 
+def _templates(rule: SubdivisionRule, index: RuleIndex
+               ) -> tuple[dict[str, tuple], dict[str, tuple]]:
+    """The child pattern of every level-0 edge and tile type, memoized on the
+    rule; a cell's children are its type's pattern read through the cell's
+    orientation or alignment.
+
+    An edge type gives its interior path vertices ``(w1, type)`` and its path
+    darts ``(e1, d1, image edge, image orient)``.  A tile type gives its
+    interior vertices ``(w1, type)``; its interior edges ``(e1, (tail, head),
+    image edge, image orient)``, each end ``(j, w)`` being the vertex ``w``
+    inside the tile (``j`` None), the tail of boundary position ``j`` (``w``
+    None), or the copy ``/v.w`` on the edge at boundary position ``j``; and
+    its interior tiles ``(t1, darts, image tile, image align)``, each dart
+    ``(x, sign, j)`` lying inside the tile (``j`` None) or, as ``/e.x``, on
+    the edge at boundary position ``j``."""
+    m = memo(rule)
+    if "templates" in m:
+        return m["templates"]
+    c1 = rule.level1
+    edge_tpl: dict[str, tuple] = {}
+    for e0, path in index.path.items():
+        verts = [(w1, rule.map_vertices[w1]) for w1 in index.path_interior[e0]]
+        darts = [(e1, d1, rule.map_edges[e1].edge, rule.map_edges[e1].orient)
+                 for e1, d1 in path]
+        edge_tpl[e0] = (verts, darts)
+    tile_tpl: dict[str, tuple] = {}
+    for t0 in rule.level0.tiles:
+        exp, orig = index.expanded[t0], index.expanded_orig[t0]
+        verts = [(w1, rule.map_vertices[w1])
+                 for w1 in index.interior_vertices[t0]]
+        edges = []
+        for e1 in index.interior_edges[t0]:
+            ends = []
+            for w1, s in zip(c1.edges[e1], (PLUS, MINUS)):
+                if rule.carrier_vertices[w1][0] == "tile":
+                    ends.append((None, w1))
+                    continue
+                ci = index.attach[t0][(e1, s)]
+                ends.append((orig[ci], None if index.corner_is_original(t0, ci)
+                             else "/v." + c1.tail(exp[ci])))
+            img = rule.map_edges[e1]
+            edges.append((e1, tuple(ends), img.edge, img.orient))
+        tiles = []
+        for t1 in index.interior_tiles[t0]:
+            darts = tuple(
+                (x, dr, None) if rule.carrier_edges[x][0] == "tile"
+                else ("/e." + x, dr, orig[index.bmatch[t0][(x, dr)]])
+                for x, dr in c1.tiles[t1])
+            img = rule.map_tiles[t1]
+            tiles.append((t1, darts, img.tile, img.align))
+        tile_tpl[t0] = (verts, edges, tiles)
+    m["templates"] = edge_tpl, tile_tpl
+    return m["templates"]
+
+
 def subdivide_once(rule: SubdivisionRule, index: RuleIndex, lv: LeveledComplex,
                    budget: int = DEFAULT_CELL_BUDGET) -> LeveledComplex:
     """One pullback step: copy each cell's type pattern through its alignment."""
     if lv.level == 0:
         return level_one(rule, index)
     c = lv.complex
-    c1 = rule.level1
+    edges = c.edges
     f0 = _vertex_dynamics(rule, index)
+    edge_tpl, tile_tpl = _templates(rule, index)
+    deeper = lv.level > 1
 
     new_vinfo: dict[str, CellInfo] = {}
     new_einfo: dict[str, CellInfo] = {}
@@ -591,121 +650,71 @@ def subdivide_once(rule: SubdivisionRule, index: RuleIndex, lv: LeveledComplex,
     # persisting vertices: contained in themselves one level down; the image
     # point keeps its id except across the 0 -> 1 id change
     for v, info in lv.vinfo.items():
-        fim = info.fimage if lv.level > 1 else index.vertex_copy[info.fimage]
-        new_vinfo[v] = CellInfo("vertex", parent=v, parent_kind="vertex",
-                                type_cell=f0[info.type_cell], fimage=fim)
+        fim = info.fimage if deeper else index.vertex_copy[info.fimage]
+        new_vinfo[v] = CellInfo("vertex", v, "vertex", f0[info.type_cell],
+                                PLUS, 0, fim)
 
-    def cv(parent: str, w1: str) -> str:
-        return f"{parent}/v.{w1}"
-
-    def ce(parent: str, e1: str) -> str:
-        return f"{parent}/e.{e1}"
-
-    def ct(parent: str, t1: str) -> str:
-        return f"{parent}/t.{t1}"
-
-    # edge subdivision: copies of the type's path cells, endpoints resolved
-    # by path position (a loop type has one copy id at both path ends)
-    for e in sorted(c.edges):
+    # a child's image is the same child of its parent's image, or at level 2
+    # the level-1 cell itself.  Edge subdivision: copies of the type's path
+    # cells, endpoints resolved by path position (a loop type has one copy id
+    # at both path ends)
+    for e in sorted(edges):
         info = lv.einfo[e]
-        etype, s = info.type_cell, info.type_orient
+        s = info.type_orient
+        verts, darts = edge_tpl[info.type_cell]
         fim = info.fimage
-        path = index.path[etype]
-        m = len(path)
-        tail_e, head_e = c.edges[e]
-        start, finish = (tail_e, head_e) if s == PLUS else (head_e, tail_e)
+        fv, fe = (fim + "/v.", fim + "/e.") if deeper else ("", "")
+        pv, pe = e + "/v.", e + "/e."
+        tail_e, head_e = edges[e]
+        slots = [tail_e if s == PLUS else head_e]
+        for w1, ty in verts:
+            vid = pv + w1
+            new_vinfo[vid] = CellInfo("vertex", e, "edge", ty, PLUS, 0,
+                                      fv + w1)
+            slots.append(vid)
+        slots.append(head_e if s == PLUS else tail_e)
+        for j, (e1, d1, ty, o) in enumerate(darts):
+            eid = pe + e1
+            new_edges[eid] = ((slots[j], slots[j + 1]) if d1 == PLUS
+                              else (slots[j + 1], slots[j]))
+            new_einfo[eid] = CellInfo("edge", e, "edge", ty, o, 0, fe + e1,
+                                      PLUS, 0, s * d1)
 
-        def path_vertex(j: int) -> str:
-            # vertex at path slot j in the copy inside e (0..m)
-            if j == 0:
-                return start
-            if j == m:
-                return finish
-            return cv(e, index.path_interior[etype][j - 1])
-
-        for w1 in index.path_interior[etype]:
-            vid = cv(e, w1)
-            new_vinfo[vid] = CellInfo(
-                "vertex", parent=e, parent_kind="edge",
-                type_cell=rule.map_vertices[w1],
-                fimage=cv(fim, w1) if lv.level > 1 else w1)
-        for j, (e1, d1) in enumerate(path):
-            eid = ce(e, e1)
-            a, b = (path_vertex(j), path_vertex(j + 1))
-            if d1 == MINUS:
-                a, b = b, a
-            new_edges[eid] = (a, b)
-            img = rule.map_edges[e1]
-            new_einfo[eid] = CellInfo(
-                "edge", parent=e, parent_kind="edge",
-                type_cell=img.edge, type_orient=img.orient,
-                fimage=ce(fim, e1) if lv.level > 1 else e1,
-                rel_orient=s * d1)
-
-    # tile interiors
+    # tile interiors: boundary position j of the type is the dart bnd[j]
     for t in sorted(c.tiles):
         info = lv.tinfo[t]
-        ttype, k = info.type_cell, info.type_align
-        fim = info.fimage
+        verts, tedges, ttiles = tile_tpl[info.type_cell]
         walk = c.tiles[t]
-        m = len(walk)
-        exp = index.expanded[ttype]
-        orig = index.expanded_orig[ttype]
-
-        def edge_at(j: int) -> Dart:
-            return walk[(j - k) % m]
-
-        def boundary_vertex_copy(c_idx: int) -> str:
-            """Level-(n+1) vertex at expanded corner c_idx of this tile."""
-            w1 = c1.tail(exp[c_idx])
-            j = orig[c_idx]
-            if index.corner_is_original(ttype, c_idx):
-                return c.tail(edge_at(j))
-            host = edge_at(j)[0]
-            return cv(host, w1)
-
-        corner_index_cache: dict[Dart, int] = index.attach[ttype]
-
-        def resolve_in_tile(w1: str, via_dart: Dart) -> str:
-            kind, ref = rule.carrier_vertices[w1]
-            if kind == "tile":
-                return cv(t, w1)
-            c_idx = corner_index_cache[via_dart]
-            return boundary_vertex_copy(c_idx)
-
-        for w1 in index.interior_vertices[ttype]:
-            vid = cv(t, w1)
-            new_vinfo[vid] = CellInfo(
-                "vertex", parent=t, parent_kind="tile",
-                type_cell=rule.map_vertices[w1],
-                fimage=cv(fim, w1) if lv.level > 1 else w1)
-        for e1 in index.interior_edges[ttype]:
-            eid = ce(t, e1)
-            a, b = c1.edges[e1]
-            new_edges[eid] = (resolve_in_tile(a, (e1, PLUS)),
-                              resolve_in_tile(b, (e1, MINUS)))
-            img = rule.map_edges[e1]
-            new_einfo[eid] = CellInfo(
-                "edge", parent=t, parent_kind="tile",
-                type_cell=img.edge, type_orient=img.orient,
-                fimage=ce(fim, e1) if lv.level > 1 else e1)
-        for t1 in index.interior_tiles[ttype]:
-            tid = ct(t, t1)
-            darts: list[Dart] = []
-            for (x, dr) in c1.tiles[t1]:
-                kind, ref = rule.carrier_edges[x]
-                if kind == "tile":
-                    darts.append((ce(t, x), dr))
+        r = -info.type_align % len(walk)
+        bnd = walk[r:] + walk[:r]
+        fim = info.fimage
+        fv, fe, ft = ((fim + "/v.", fim + "/e.", fim + "/t.") if deeper
+                      else ("", "", ""))
+        pv, pe, pt = t + "/v.", t + "/e.", t + "/t."
+        for w1, ty in verts:
+            new_vinfo[pv + w1] = CellInfo("vertex", t, "tile", ty, PLUS, 0,
+                                          fv + w1)
+        for e1, ends, ty, o in tedges:
+            ab = []
+            for j, w in ends:
+                if j is None:
+                    ab.append(pv + w)
+                elif w is None:
+                    x, sign = bnd[j]
+                    ab.append(edges[x][0 if sign == PLUS else 1])
                 else:
-                    c_idx = index.bmatch[ttype][(x, dr)]
-                    host = edge_at(orig[c_idx])[0]
-                    darts.append((ce(host, x), dr))
+                    ab.append(bnd[j][0] + w)
+            eid = pe + e1
+            new_edges[eid] = tuple(ab)
+            new_einfo[eid] = CellInfo("edge", t, "tile", ty, o, 0, fe + e1)
+        for t1, tdarts, ty, al in ttiles:
+            darts = []
+            for x, dr, j in tdarts:
+                darts.append((pe + x if j is None else bnd[j][0] + x, dr))
+            tid = pt + t1
             new_tiles[tid] = tuple(darts)
-            img = rule.map_tiles[t1]
-            new_tinfo[tid] = CellInfo(
-                "tile", parent=t, parent_kind="tile",
-                type_cell=img.tile, type_align=img.align,
-                fimage=ct(fim, t1) if lv.level > 1 else t1)
+            new_tinfo[tid] = CellInfo("tile", t, "tile", ty, PLUS, al,
+                                      ft + t1)
 
     total = len(new_vinfo) + len(new_edges) + len(new_tiles)
     if total > budget:
@@ -807,12 +816,12 @@ def classify_vertices(rule: SubdivisionRule) -> VertexClass:
     cycle_of: dict[str, tuple[str, ...]] = {}
     periodic: set[str] = set()
     for v in rule.level0.vertices:
-        seen: list[str] = []
+        seen: dict[str, int] = {}     # orbit point -> step
         cur = v
         while cur not in seen:
-            seen.append(cur)
+            seen[cur] = len(seen)
             cur = f0[cur]
-        cyc = tuple(seen[seen.index(cur):])
+        cyc = tuple(seen)[seen[cur]:]
         cycle_of[v] = cyc
         if v in cyc:
             periodic.add(v)

@@ -12,6 +12,7 @@ import pytest
 
 from fsrkit import energies
 from fsrkit.catalog import CATALOG, get_rule, power_spider_2
+from fsrkit.complexes import PLUS, dual_skeleton
 from fsrkit.digraphs import path_count
 from fsrkit.dynamics import build_edge_digraph
 from fsrkit.energies import (
@@ -36,6 +37,7 @@ from fsrkit.energies import (
 from fsrkit.errors import FsrError, ValidationFailure
 from fsrkit.multicurves import Lift, MulticurveSpec
 from fsrkit.report import P_SAMPLES, analyze
+from fsrkit.rules import power, shift
 
 
 def two_edge_fixture(k: int, p: float) -> PLGraphMap:
@@ -303,6 +305,28 @@ def test_certificate_context_matches_fresh_rule(name):
         for k in DEFAULT_K_GRID:
             fresh = _attempt(get_rule(name), p, k)
             assert _attempt(warm, p, k) == fresh, (name, p, k)
+
+
+def test_certificate_paths_run_from_tail_to_head():
+    # the retraction maps each removed dual edge onto its replacement path,
+    # so the path must leave the edge's tail tile and end at its head tile
+    checked = 0
+    for name in ("square_spider_julia", "spider_twocycle_2"):
+        for rule in (get_rule(name), shift(get_rule(name), 1),
+                     power(get_rule(name), 2)):
+            ctx = energies._certificate_context(rule)
+            dual0 = dual_skeleton(ctx.work.level0)
+            for v, e in ctx.removed.items():
+                path = ctx.paths[v]
+                if not path:
+                    continue
+                at = dual0.dual_tail((e, PLUS))
+                for d in path:
+                    assert dual0.dual_tail(d) == at, (rule.name, v, e, path)
+                    at = dual0.dual_head(d)
+                assert at == dual0.dual_head((e, PLUS)), (rule.name, v, e)
+                checked += 1
+    assert checked >= 6
 
 
 def test_certificate_transforms_each_rule_once(monkeypatch):

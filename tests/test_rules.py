@@ -10,13 +10,22 @@ from collections import Counter
 import pytest
 
 from fsrkit import rules
-from fsrkit.catalog import CATALOG, doubling_edge, get_rule, power_spider_2
-from fsrkit.complexes import MINUS, PLUS, validate_complex
+from fsrkit.catalog import (
+    CATALOG,
+    doubling_edge,
+    get_rule,
+    levy_pillow_4,
+    power_spider_2,
+)
+from fsrkit.complexes import MINUS, PLUS, SphereComplex, validate_complex
 from fsrkit.dynamics import julia_edges, julia_tiles
 from fsrkit.errors import BudgetExceeded, ValidationFailure
+from fsrkit.quotients import normalize_for_energy
 from fsrkit.report import analyze
 from fsrkit.rules import (
+    CellInfo,
     EdgeImage,
+    LeveledComplex,
     Tower,
     classify_vertices,
     power,
@@ -105,6 +114,172 @@ def test_type_transport_invariant():
                     etype, orient = lv.edge_type(e)
                     assert (etype, s * orient) == w0[(i + k) % len(w0)], (
                         rule.name, n, t, i)
+
+
+def subdivide_once_oracle(rule, index, lv):
+    """Reference pullback step from level >= 1: derives every cell's children
+    from the rule index directly, through per-cell closures."""
+    c = lv.complex
+    c1 = rule.level1
+    f0 = {v: rule.map_vertices[index.vertex_copy[v]]
+          for v in rule.level0.vertices}
+
+    new_vinfo = {}
+    new_einfo = {}
+    new_tinfo = {}
+    new_edges = {}
+    new_tiles = {}
+
+    for v, info in lv.vinfo.items():
+        fim = info.fimage if lv.level > 1 else index.vertex_copy[info.fimage]
+        new_vinfo[v] = CellInfo("vertex", parent=v, parent_kind="vertex",
+                                type_cell=f0[info.type_cell], fimage=fim)
+
+    def cv(parent, w1):
+        return f"{parent}/v.{w1}"
+
+    def ce(parent, e1):
+        return f"{parent}/e.{e1}"
+
+    def ct(parent, t1):
+        return f"{parent}/t.{t1}"
+
+    for e in sorted(c.edges):
+        info = lv.einfo[e]
+        etype, s = info.type_cell, info.type_orient
+        fim = info.fimage
+        path = index.path[etype]
+        m = len(path)
+        tail_e, head_e = c.edges[e]
+        start, finish = (tail_e, head_e) if s == PLUS else (head_e, tail_e)
+
+        def path_vertex(j):
+            if j == 0:
+                return start
+            if j == m:
+                return finish
+            return cv(e, index.path_interior[etype][j - 1])
+
+        for w1 in index.path_interior[etype]:
+            vid = cv(e, w1)
+            new_vinfo[vid] = CellInfo(
+                "vertex", parent=e, parent_kind="edge",
+                type_cell=rule.map_vertices[w1],
+                fimage=cv(fim, w1) if lv.level > 1 else w1)
+        for j, (e1, d1) in enumerate(path):
+            eid = ce(e, e1)
+            a, b = (path_vertex(j), path_vertex(j + 1))
+            if d1 == MINUS:
+                a, b = b, a
+            new_edges[eid] = (a, b)
+            img = rule.map_edges[e1]
+            new_einfo[eid] = CellInfo(
+                "edge", parent=e, parent_kind="edge",
+                type_cell=img.edge, type_orient=img.orient,
+                fimage=ce(fim, e1) if lv.level > 1 else e1,
+                rel_orient=s * d1)
+
+    for t in sorted(c.tiles):
+        info = lv.tinfo[t]
+        ttype, k = info.type_cell, info.type_align
+        fim = info.fimage
+        walk = c.tiles[t]
+        m = len(walk)
+        exp = index.expanded[ttype]
+        orig = index.expanded_orig[ttype]
+
+        def edge_at(j):
+            return walk[(j - k) % m]
+
+        def boundary_vertex_copy(c_idx):
+            w1 = c1.tail(exp[c_idx])
+            j = orig[c_idx]
+            if index.corner_is_original(ttype, c_idx):
+                return c.tail(edge_at(j))
+            host = edge_at(j)[0]
+            return cv(host, w1)
+
+        corner_index_cache = index.attach[ttype]
+
+        def resolve_in_tile(w1, via_dart):
+            kind, ref = rule.carrier_vertices[w1]
+            if kind == "tile":
+                return cv(t, w1)
+            c_idx = corner_index_cache[via_dart]
+            return boundary_vertex_copy(c_idx)
+
+        for w1 in index.interior_vertices[ttype]:
+            vid = cv(t, w1)
+            new_vinfo[vid] = CellInfo(
+                "vertex", parent=t, parent_kind="tile",
+                type_cell=rule.map_vertices[w1],
+                fimage=cv(fim, w1) if lv.level > 1 else w1)
+        for e1 in index.interior_edges[ttype]:
+            eid = ce(t, e1)
+            a, b = c1.edges[e1]
+            new_edges[eid] = (resolve_in_tile(a, (e1, PLUS)),
+                              resolve_in_tile(b, (e1, MINUS)))
+            img = rule.map_edges[e1]
+            new_einfo[eid] = CellInfo(
+                "edge", parent=t, parent_kind="tile",
+                type_cell=img.edge, type_orient=img.orient,
+                fimage=ce(fim, e1) if lv.level > 1 else e1)
+        for t1 in index.interior_tiles[ttype]:
+            tid = ct(t, t1)
+            darts = []
+            for (x, dr) in c1.tiles[t1]:
+                kind, ref = rule.carrier_edges[x]
+                if kind == "tile":
+                    darts.append((ce(t, x), dr))
+                else:
+                    c_idx = index.bmatch[ttype][(x, dr)]
+                    host = edge_at(orig[c_idx])[0]
+                    darts.append((ce(host, x), dr))
+            new_tiles[tid] = tuple(darts)
+            img = rule.map_tiles[t1]
+            new_tinfo[tid] = CellInfo(
+                "tile", parent=t, parent_kind="tile",
+                type_cell=img.tile, type_align=img.align,
+                fimage=ct(fim, t1) if lv.level > 1 else t1)
+
+    cx = SphereComplex(tuple(new_vinfo), new_edges, new_tiles, c.marked)
+    return LeveledComplex(cx, lv.level + 1, new_vinfo, new_einfo, new_tinfo)
+
+
+def _oracle_cases():
+    """(label, rule): the catalog, shift 1 of each, power 2 of the degree-2
+    rules, and the normalized rules that differ from their input."""
+    for name in sorted(CATALOG):
+        yield name, get_rule(name)
+        yield f"{name}:shift1", shift(get_rule(name), 1)
+        if validate_rule(get_rule(name)).notes["degree"] == 2:
+            yield f"{name}:power2", power(get_rule(name), 2)
+    pillow = levy_pillow_4()
+    marked = frozenset({"A", "B"})
+    pillow = dataclasses.replace(
+        pillow, level0=dataclasses.replace(pillow.level0, marked=marked),
+        level1=dataclasses.replace(pillow.level1, marked=marked))
+    yield "levy_pillow_pc:normalized", normalize_for_energy(pillow).rule
+
+
+def test_tower_matches_oracle():
+    for label, rule in _oracle_cases():
+        top = 4 if validate_rule(rule).notes["degree"] > 2 else 8
+        tower = Tower.build(rule)
+        want = tower.up_to(1)
+        for n in range(2, top + 1):
+            got = tower.up_to(n)
+            want = subdivide_once_oracle(rule, tower.index, want)
+            where = f"{label} level {n}"
+            assert got.level == want.level == n, where
+            assert got.complex.vertices == want.complex.vertices, where
+            assert got.complex.marked == want.complex.marked, where
+            for kind in ("edges", "tiles"):
+                assert (list(getattr(got.complex, kind).items())
+                        == list(getattr(want.complex, kind).items())), where
+            for kind in ("vinfo", "einfo", "tinfo"):
+                assert (list(getattr(got, kind).items())
+                        == list(getattr(want, kind).items())), where
 
 
 def test_classify_vertices_power_spider():
