@@ -1,13 +1,17 @@
 """Conformal graph energies and certified bounds on the asymptotic energy.
 
 Energies of piecewise-linear graph maps are computed exactly from explicit
-piece lists (rational breakpoints and derivatives), so every reported upper
-bound is the energy of a concrete representative and hence certifies a bound
-on the homotopy-class energy and, through submultiplicativity, on the
-asymptotic energy.  The certificate engine builds the dual-skeleton virtual
-endomorphism, removes one edge per Julia vertex, equips the base with a
-K-expanding length, deforms the map near the recurrent forest by a staggered
-cascade of local pulls, and evaluates the resulting fill profile exactly.
+piece lists, so every reported upper bound is the energy of a concrete
+representative and hence certifies a bound on the homotopy-class energy and,
+through submultiplicativity, on the asymptotic energy.  The certificate engine
+builds the dual-skeleton virtual endomorphism, removes one edge per Julia
+vertex, equips the base with a K-expanding length, deforms the map near the
+recurrent forest by a staggered cascade of local pulls, and evaluates the
+resulting fill profile exactly.  Each certificate map has integer lengths and
+breakpoints: its rational geometry scaled by the common denominator D of its
+breakpoints.  A derivative is then a ratio of integers, and since int / int
+and float(Fraction) both round correctly, every fill value is bitwise the one
+of the unscaled map (``test_fill_profile_scale_invariant``).
 
 The per-level values a_n of the natural representatives (unit base lengths)
 need no level-n complex: a_n = (max_e |R^n(e)|)^(1/p), with the subedge
@@ -63,7 +67,7 @@ class ConformalGraph:
     vertices: tuple[str, ...]
     edges: dict[str, tuple[str, str]]
     p: float
-    lengths: dict[str, Fraction]
+    lengths: dict[str, int | Fraction]
 
     def __post_init__(self):
         for e, val in self.lengths.items():
@@ -211,7 +215,7 @@ def e1_exact(rule: SubdivisionRule, n: int) -> int:
 
 def chain_rank_lengths(rule: SubdivisionRule, k_factor: int,
                        boost_above: dict[str, list[str]] | None = None
-                       ) -> dict[str, Fraction]:
+                       ) -> dict[str, int]:
     """alpha(e) = (2K)^rank(e) with ranks from longest chains of the
     subdivision partial order, so incomparable edges share lengths.
 
@@ -260,7 +264,7 @@ def chain_rank_lengths(rule: SubdivisionRule, k_factor: int,
     for e in rule.level0.edges:
         visit(e)
     top = max(rank.values(), default=0)
-    alpha = {e: Fraction(2 * k_factor) ** (top - rank[e])
+    alpha = {e: (2 * k_factor) ** (top - rank[e])
              for e in rule.level0.edges}
     for src, outs in up.items():
         for dst in outs:
@@ -277,16 +281,17 @@ def chain_rank_lengths(rule: SubdivisionRule, k_factor: int,
 @dataclass(frozen=True)
 class Piece:
     """Linear piece: source interval of an edge mapped onto an oriented
-    interval of a codomain edge.  Coordinates measure length from the tail."""
+    interval of a codomain edge.  Coordinates measure length from the tail:
+    ints on the scale of the piece's map (certificate maps), or Fractions."""
 
     src_edge: str
-    src_a: Fraction
-    src_b: Fraction
+    src_a: int | Fraction
+    src_b: int | Fraction
     img_edge: str
-    img_a: Fraction
-    img_b: Fraction
+    img_a: int | Fraction
+    img_b: int | Fraction
 
-    def derivative(self) -> Fraction:
+    def derivative(self) -> float | Fraction:
         width = self.src_b - self.src_a
         if width <= 0:
             raise InternalInconsistency("empty source interval")
@@ -300,6 +305,11 @@ class PiecewiseMap:
     pieces: list[Piece] = field(default_factory=list)
 
     def check(self) -> None:
+        """Each piece lies inside its edges; the pieces of each source edge
+        that has any tile [0, L] in order, and the map is continuous: each
+        piece starts where the one before it ends, and all piece ends at one
+        domain vertex have one image.  An edge without pieces is left out."""
+        by_edge: dict[str, list[Piece]] = {}
         for pc in self.pieces:
             le = self.domain.lengths[pc.src_edge]
             if not (0 <= pc.src_a < pc.src_b <= le):
@@ -308,12 +318,45 @@ class PiecewiseMap:
             if not (0 <= min(pc.img_a, pc.img_b)
                     and max(pc.img_a, pc.img_b) <= li):
                 raise InternalInconsistency(f"bad image interval {pc}")
+            by_edge.setdefault(pc.src_edge, []).append(pc)
+        images: dict[str, object] = {}     # domain vertex -> image point
+        for e, pcs in by_edge.items():
+            tail, head = self.domain.edges[e]
+            at = 0
+            for pc in sorted(pcs, key=lambda pc: pc.src_a):
+                if pc.src_a != at:
+                    raise InternalInconsistency(
+                        f"pieces of {e} leave a gap or overlap at {at}")
+                start = self._point(pc.img_edge, pc.img_a)
+                if at == 0:
+                    if images.setdefault(tail, start) != start:
+                        raise InternalInconsistency(
+                            f"vertex {tail} has two images {images[tail]} "
+                            f"and {start}")
+                elif start != where:
+                    raise InternalInconsistency(
+                        f"pieces of {e} do not meet at {at}")
+                at, where = pc.src_b, self._point(pc.img_edge, pc.img_b)
+            if at != self.domain.lengths[e]:
+                raise InternalInconsistency(f"pieces of {e} end at {at}")
+            if images.setdefault(head, where) != where:
+                raise InternalInconsistency(
+                    f"vertex {head} has two images {images[head]} and {where}")
+
+    def _point(self, edge: str, coord: int | Fraction) -> object:
+        """A codomain point: the edge's tail or head vertex at coordinate 0
+        or L, else (edge, coordinate)."""
+        if coord == 0:
+            return self.codomain.edges[edge][0]
+        if coord == self.codomain.lengths[edge]:
+            return self.codomain.edges[edge][1]
+        return edge, coord
 
 
 def fill_profile(pm: PiecewiseMap, p: float
                  ) -> dict[str, list[tuple[Fraction, Fraction, float]]]:
     """Per codomain edge, the fill value on each sub-interval between
-    breakpoints (exact rational breakpoints, float fill values)."""
+    breakpoints (exact int or Fraction breakpoints, float fill values)."""
     cover: dict[str, list[tuple[Fraction, Fraction, float]]] = {
         e: [] for e in pm.codomain.edges}
     for pc in pm.pieces:
@@ -324,7 +367,7 @@ def fill_profile(pm: PiecewiseMap, p: float
         cover[pc.img_edge].append((lo, hi, w if p == inf else w ** (p - 1.0)))
     out: dict[str, list[tuple[Fraction, Fraction, float]]] = {}
     for e, ivs in cover.items():
-        cuts = sorted({Fraction(0), pm.codomain.lengths[e],
+        cuts = sorted({0, pm.codomain.lengths[e],
                        *(x for iv in ivs for x in iv[:2])})
         index = {x: i for i, x in enumerate(cuts)}
         fill = [0.0] * (len(cuts) - 1)
@@ -386,7 +429,8 @@ class _CertificateContext:
     the Julia stars is raised here; an error of the later, topological part
     is kept in ``failure`` and raised where it ran before, after the checks
     of the K-expanding lengths.  ``refused`` marks an F0 that is not a
-    forest."""
+    forest.  ``lengths`` memoizes the chain-rank lengths per K, which
+    ``crochet_certificate`` fills in."""
 
     def __init__(self, rule: SubdivisionRule):
         self.k1 = math.lcm(*recurrency_periods(rule).values())
@@ -424,6 +468,7 @@ class _CertificateContext:
             (len(star) + 1 for star in self.boosts.values()), default=0)
         self.failure: FsrError | None = None
         self.refused = False
+        self.lengths: dict[int, dict[str, int]] = {}
         try:
             self._topology()
         except FsrError as exc:
@@ -562,9 +607,13 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
     natural representative (vertex images, actions, dual endpoints of levels
     0 and 1); the collapsed blobs, recurrent lifts and the rooted forest with
     its level-1 vertices, blob incidence counts, N and M; and the error or
-    refusal any of these ends in.  Each (K, p) runs only the chain-rank
-    lengths, their lift to level 1 by edge type, the retraction pieces, the
-    pulls, the deformed map and the energies.
+    refusal any of these ends in.  The chain-rank lengths depend on K only
+    and are memoized per K in the context.  Each (K, p) runs the retraction
+    pieces, the pulls, the deformed map and the energies, in exact integer
+    arithmetic: the retraction is scaled by the lcm of its replacement-path
+    totals, and the lengths lifted to level 1 and the deformed map by the lcm
+    of the pulls' denominators.  The pulls are computed as Fractions and
+    reported unscaled.
     """
     if not (1 < p < inf):
         raise ValidationFailure("certificate needs 1 < p < infinity",
@@ -586,39 +635,35 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
     ctx = _certificate_context(rule)
     # lengths in which each removed edge dominates its Julia star (the boosts
     # are among the pairs whose K-expansion chain_rank_lengths checks)
-    alpha = chain_rank_lengths(ctx.work, k_factor, boost_above=ctx.boosts)
+    if k_factor not in ctx.lengths:
+        ctx.lengths[k_factor] = chain_rank_lengths(ctx.work, k_factor,
+                                                   boost_above=ctx.boosts)
+    alpha = ctx.lengths[k_factor]
     if ctx.failure is not None:
         raise _bare(ctx.failure)
 
+    # retraction G0 -> H0 as explicit pieces, scaled so that every split of
+    # a removed edge along its replacement path is an integer
     phi = ctx.phi
-    g0 = ConformalGraph(phi.codomain.vertices, phi.codomain.edges, p, alpha)
-    g1 = ConformalGraph(phi.domain.vertices, phi.domain.edges, p,
-                        {e: alpha[t] for e, t in ctx.types1.items()})
-
-    # retraction G0 -> H0 as explicit pieces
+    totals = {v: sum(alpha[x] for x, _ in path)
+              for v, path in ctx.paths.items()}
+    rho_scale = math.lcm(*(t for t in totals.values() if t))
+    g0 = ConformalGraph(phi.codomain.vertices, phi.codomain.edges, p,
+                        {e: a * rho_scale for e, a in alpha.items()})
     rho = PiecewiseMap(g0, g0)
     for e in g0.edges:
         if e not in ctx.boosts:
-            rho.pieces.append(Piece(e, Fraction(0), g0.lengths[e],
-                                    e, Fraction(0), g0.lengths[e]))
+            rho.pieces.append(Piece(e, 0, g0.lengths[e], e, 0, g0.lengths[e]))
     for v, e_long in ctx.removed.items():
-        path = ctx.paths[v]
-        total = sum(alpha[x] for x, _ in path)
-        src_len = g0.lengths[e_long]
-        # orient: e_long runs between the two tiles flanking it; the path
-        # replaces it around v with matching endpoints
-        pos = Fraction(0)
-        for (x, direction) in path:
-            seg = Fraction(alpha[x])
-            a = pos / total * src_len
-            b = (pos + seg) / total * src_len
-            if direction == PLUS:
-                rho.pieces.append(Piece(e_long, a, b, x, Fraction(0),
-                                        g0.lengths[x]))
-            else:
-                rho.pieces.append(Piece(e_long, a, b, x, g0.lengths[x],
-                                        Fraction(0)))
-            pos += seg
+        # a path position pos lies at pos / total of e_long (an empty path,
+        # at a Julia vertex of degree 1, has no pieces)
+        step, pos = rho_scale // (totals[v] or 1) * alpha[e_long], 0
+        for x, direction in ctx.paths[v]:
+            ends = (0, g0.lengths[x]) if direction == PLUS else (
+                g0.lengths[x], 0)
+            rho.pieces.append(Piece(e_long, pos * step,
+                                    (pos + alpha[x]) * step, x, *ends))
+            pos += alpha[x]
     rho.check()
     e_rho, _ = piecewise_energy(fill_profile(rho, p), p)
     if ctx.refused:
@@ -641,15 +686,16 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
     except OverflowError:
         raise UnsupportedRegime(f"certificate stagger exceeds the float "
                                 f"range at p = {p}") from None
-    incident_lengths: dict[int, Fraction] = {}
+    incident_lengths: dict[int, int] = {}
     for e1 in ctx.h1_edges:
         if isinstance(phi.action[e1], Collapse):
             continue
-        for tile in g1.edges[e1]:
+        length = alpha[ctx.types1[e1]]
+        for tile in phi.domain.edges[e1]:
             b = ctx.blob_of[tile]
             cur = incident_lengths.get(b)
-            if cur is None or g1.lengths[e1] < cur:
-                incident_lengths[b] = g1.lengths[e1]
+            if cur is None or length < cur:
+                incident_lengths[b] = length
 
     pulls: dict[str, Fraction] = {}
     root_set = set(ctx.roots)
@@ -658,18 +704,23 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
             continue
         e_par, _ = parent_edge[u]
         blob = ctx.blob_of[ctx.f1_vertex[u]]
-        cap = min(g0.lengths[e_par] / 8,
-                  incident_lengths.get(blob, g0.lengths[e_par]) /
-                  (4 * c_stag))
-        children = [w for w in depth
-                    if w not in root_set and parent_edge[w][1] == u]
-        for w in children:
-            cap = min(cap, pulls[w] / (2 * c_stag))
+        cap = min(Fraction(alpha[e_par], 8),
+                  Fraction(incident_lengths.get(blob, alpha[e_par]),
+                           4 * c_stag),
+                  *(pulls[w] / (2 * c_stag) for w in depth
+                    if w not in root_set and parent_edge[w][1] == u))
         if cap <= 0:
             raise InternalInconsistency(f"no room to pull vertex {u}")
         pulls[u] = cap
 
-    psi = _deformed_map(ctx, g0, g1, pulls, c_stag)
+    # the deformed map on the scale that makes every pull an integer
+    scale = math.lcm(*(m.denominator for m in pulls.values()))
+    g0 = ConformalGraph(phi.codomain.vertices, phi.codomain.edges, p,
+                        {e: a * scale for e, a in alpha.items()})
+    g1 = ConformalGraph(phi.domain.vertices, phi.domain.edges, p,
+                        {e: alpha[t] * scale for e, t in ctx.types1.items()})
+    psi = _deformed_map(ctx, g0, g1, {u: int(m * scale) for u, m in
+                                      pulls.items()}, c_stag)
     prof = fill_profile(psi, p)
     e_psi, worst_edge = piecewise_energy(prof, p)
 
@@ -778,9 +829,10 @@ def _forest_rooted(forest_adj):
 
 
 def _deformed_map(ctx: _CertificateContext, g0: ConformalGraph,
-                  g1: ConformalGraph, pulls: dict[str, Fraction],
+                  g1: ConformalGraph, pulls: dict[str, int],
                   c_stag: int) -> PiecewiseMap:
-    """The deformation of phi restricted to the H1 edges, as exact pieces.
+    """The deformation of phi restricted to the H1 edges, as exact pieces
+    on the integer scale of ``g0``, ``g1`` and ``pulls``.
 
     Every non-root vertex u of the recurrent forest is pulled, with the
     collapsed blob holding its level-1 lift, a distance pulls[u] into its
@@ -794,7 +846,7 @@ def _deformed_map(ctx: _CertificateContext, g0: ConformalGraph,
     pulled_blob = {u: blob_of[t] for u, t in ctx.f1_vertex.items()
                    if u in pulls}
 
-    def pull_of(tile: str) -> tuple[str, str, Fraction, Fraction] | None:
+    def pull_of(tile: str) -> tuple[str, str, int, int] | None:
         u = phi.vertex_image[tile]
         if u not in pulled_blob or blob_of[tile] != pulled_blob[u]:
             return None
@@ -814,18 +866,18 @@ def _deformed_map(ctx: _CertificateContext, g0: ConformalGraph,
         img_tail_vertex = ya if act.orient == PLUS else yb
         if phi.vertex_image[ta] != img_tail_vertex:
             raise InternalInconsistency(f"orientation bookkeeping off at {e1}")
-        img_from = Fraction(0) if act.orient == PLUS else ly
+        img_from = 0 if act.orient == PLUS else ly
         sign = 1 if act.orient == PLUS else -1
 
-        def ycoord(dist: Fraction) -> Fraction:
+        def ycoord(dist: int) -> int:
             return img_from + sign * dist
 
         if e1 in rec_lift_edges and le != ly:
             raise InternalInconsistency(
                 f"recurrent lift {e1} is not isometric over {y}")
 
-        src_lo, src_hi = Fraction(0), le
-        start_dist, end_dist = Fraction(0), ly
+        src_lo, src_hi = 0, le
+        start_dist, end_dist = 0, ly
         head_tail_piece = None
         tail_tail_piece = None
 
@@ -844,7 +896,7 @@ def _deformed_map(ctx: _CertificateContext, g0: ConformalGraph,
                 continue
             ia, ib = _coord_interval(g0, e_par, u, dist)
             if side == "tail":
-                tail_tail_piece = Piece(e1, Fraction(0), width, e_par, ib, ia)
+                tail_tail_piece = Piece(e1, 0, width, e_par, ib, ia)
                 src_lo = width
             else:
                 head_tail_piece = Piece(e1, le - width, le, e_par, ia, ib)
@@ -864,12 +916,12 @@ def _deformed_map(ctx: _CertificateContext, g0: ConformalGraph,
 
 
 def _coord_interval(g0: ConformalGraph, edge: str, from_vertex: str,
-                    dist: Fraction) -> tuple[Fraction, Fraction]:
+                    dist: int) -> tuple[int, int]:
     """Oriented interval on the edge starting at the given endpoint, inward."""
     a, b = g0.edges[edge]
     le = g0.lengths[edge]
     if from_vertex == a:
-        return Fraction(0), dist
+        return 0, dist
     if from_vertex == b:
         return le, le - dist
     raise InternalInconsistency(f"{from_vertex} is not an endpoint of {edge}")

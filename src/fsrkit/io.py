@@ -191,7 +191,7 @@ def load_multicurve(path: str) -> MulticurveSpec:
 
 def jsonable(value: Any) -> Any:
     """Best-effort conversion of report objects to JSON-compatible data."""
-    from dataclasses import asdict, is_dataclass
+    from dataclasses import fields, is_dataclass
 
     if value is None or isinstance(value, (str, int, bool)):
         return value
@@ -210,5 +210,6 @@ def jsonable(value: Any) -> Any:
         return sorted(items, key=repr) if isinstance(value, (set, frozenset)) \
             else items
     if is_dataclass(value):
-        return {k: jsonable(v) for k, v in asdict(value).items()}
+        return {f.name: jsonable(getattr(value, f.name))
+                for f in fields(value)}
     return repr(value)

@@ -869,13 +869,21 @@ def power(rule: SubdivisionRule, k: int) -> SubdivisionRule:
         raise ValueError("power exponent must be >= 1")
     tower = Tower.of(rule)
     hi = tower.up_to(k)
+    # the level-0 carrier of a cell is its parent's, composed level by level
+    carrier: dict[Kind, dict[str, tuple[Kind, str]]] = {
+        kind: {c: (kind, c) for c in cells} for kind, cells in
+        (("vertex", rule.level0.vertices), ("edge", rule.level0.edges),
+         ("tile", rule.level0.tiles))}
+    for lv in tower.levels[1:k + 1]:
+        carrier = {kind: {c: carrier[info.parent_kind][info.parent]
+                          for c, info in infos.items()}
+                   for kind, infos in (("vertex", lv.vinfo),
+                                       ("edge", lv.einfo),
+                                       ("tile", lv.tinfo))}
 
-    def carrier(cell: str, kind: Kind) -> tuple[Kind, str]:
-        return tower.ancestor(cell, kind, k, 0)[:2]
-
-    carrier_vertices = {v: carrier(v, "vertex") for v in hi.complex.vertices}
-    carrier_edges = {e: carrier(e, "edge") for e in hi.complex.edges}
-    carrier_tiles = {t: carrier(t, "tile")[1] for t in hi.complex.tiles}
+    carrier_vertices = {v: carrier["vertex"][v] for v in hi.complex.vertices}
+    carrier_edges = {e: carrier["edge"][e] for e in hi.complex.edges}
+    carrier_tiles = {t: carrier["tile"][t][1] for t in hi.complex.tiles}
     map_vertices = {v: info.type_cell for v, info in hi.vinfo.items()}
     map_edges = {e: EdgeImage(info.type_cell, info.type_orient)
                  for e, info in hi.einfo.items()}

@@ -12,7 +12,7 @@ import pytest
 
 from fsrkit import energies
 from fsrkit.catalog import CATALOG, get_rule, power_spider_2
-from fsrkit.complexes import PLUS, dual_skeleton
+from fsrkit.complexes import PLUS, dual_skeleton, flip
 from fsrkit.digraphs import path_count
 from fsrkit.dynamics import build_edge_digraph
 from fsrkit.energies import (
@@ -34,7 +34,7 @@ from fsrkit.energies import (
     natural_energy_levels,
     natural_representative,
 )
-from fsrkit.errors import FsrError, ValidationFailure
+from fsrkit.errors import FsrError, InternalInconsistency, ValidationFailure
 from fsrkit.multicurves import Lift, MulticurveSpec
 from fsrkit.report import P_SAMPLES, analyze
 from fsrkit.rules import power, shift
@@ -259,7 +259,8 @@ def fill_profile_oracle(pm: PiecewiseMap, p: float) -> dict:
 
 def random_piecewise_map(rng: random.Random) -> PiecewiseMap:
     """Overlapping pieces with rational breakpoints onto three edges, some of
-    them with a degenerate image (lo == hi)."""
+    them with a degenerate image (lo == hi).  Each piece is the whole of a
+    source edge of its own, so that the map passes ``PiecewiseMap.check``."""
     def frac(top: Fraction) -> Fraction:
         den = rng.randint(1, 7)
         return Fraction(rng.randint(0, int(top * den)), den)
@@ -268,16 +269,19 @@ def random_piecewise_map(rng: random.Random) -> PiecewiseMap:
                for i in range(3)}
     cod = ConformalGraph(("x", "y"), {f: ("x", "y") for f in cod_len}, 2.0,
                          cod_len)
-    dom = ConformalGraph(("a", "b"), {"e": ("a", "b")}, 2.0,
-                         {"e": Fraction(100)})
-    pm = PiecewiseMap(dom, cod)
-    for _ in range(rng.randint(0, 14)):
+    pieces = []
+    for i in range(rng.randint(0, 14)):
         f = rng.choice(sorted(cod_len))
         ia = frac(cod_len[f])
         ib = ia if rng.random() < 0.15 else frac(cod_len[f])
         sa = Fraction(rng.randint(0, 60), rng.randint(1, 5))
         sb = sa + Fraction(rng.randint(1, 30), rng.randint(1, 9))
-        pm.pieces.append(Piece("e", sa, sb, f, ia, ib))
+        pieces.append(Piece(f"e{i}", Fraction(0), sb - sa, f, ia, ib))
+    ends = {pc.src_edge: ("a" + pc.src_edge, "b" + pc.src_edge)
+            for pc in pieces}
+    dom = ConformalGraph(tuple(v for ab in ends.values() for v in ab), ends,
+                         2.0, {pc.src_edge: pc.src_b for pc in pieces})
+    pm = PiecewiseMap(dom, cod, pieces)
     pm.check()
     return pm
 
@@ -288,6 +292,117 @@ def test_fill_profile_matches_oracle(p):
     for _ in range(300):
         pm = random_piecewise_map(rng)
         assert fill_profile(pm, p) == fill_profile_oracle(pm, p)
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0, 4.0, 8.0, inf])
+def test_fill_profile_scale_invariant(p):
+    # the certificate scales each map by the common denominator of its
+    # breakpoints: int / int rounds correctly as float(Fraction) does, so the
+    # integer map has bitwise the same fill values on the scaled cuts
+    rng = random.Random(8101)
+    for _ in range(300):
+        pm = random_piecewise_map(rng)
+        coords = [x for pc in pm.pieces
+                  for x in (pc.src_a, pc.src_b, pc.img_a, pc.img_b)]
+        scale = math.lcm(*(x.denominator for x in (
+            *pm.domain.lengths.values(), *pm.codomain.lengths.values(),
+            *coords)))
+
+        def scaled(g: ConformalGraph) -> ConformalGraph:
+            return ConformalGraph(g.vertices, g.edges, g.p,
+                                  {e: int(x * scale)
+                                   for e, x in g.lengths.items()})
+
+        ints = PiecewiseMap(scaled(pm.domain), scaled(pm.codomain), [
+            Piece(pc.src_edge, int(pc.src_a * scale), int(pc.src_b * scale),
+                  pc.img_edge, int(pc.img_a * scale), int(pc.img_b * scale))
+            for pc in pm.pieces])
+        ints.check()
+        want, got = fill_profile(pm, p), fill_profile(ints, p)
+        assert got.keys() == want.keys()
+        for e, rows in want.items():
+            assert all(type(a) is int and type(b) is int
+                       for a, b, _ in got[e])
+            assert got[e] == [(a * scale, b * scale, val)
+                              for a, b, val in rows], (e, scale)
+
+
+def _recorded_maps(monkeypatch, rules_) -> list[PiecewiseMap]:
+    """Every retraction and deformed map that the certificates of ``rules_``
+    build at p = 2 over the K grid."""
+    maps = []
+    profile = energies.fill_profile
+
+    def recording(pm, p):
+        maps.append(pm)
+        return profile(pm, p)
+
+    monkeypatch.setattr(energies, "fill_profile", recording)
+    for rule in rules_:
+        for k in DEFAULT_K_GRID:
+            crochet_certificate(rule, 2.0, k)
+    monkeypatch.undo()
+    return maps
+
+
+def test_piecewise_map_check_catches_mutations(monkeypatch):
+    # the pieces of an edge must tile it and meet end to start: dropping a
+    # tail or core piece of a real deformed map, or flipping the orientation
+    # of its image (ycoord's sign, mirrored back into the edge), breaks it
+    names = ("power_spider_2", "spider_twocycle_2", "square_spider_julia",
+             "tripod_pillow_4")
+    maps = _recorded_maps(monkeypatch, [make(n) for n in names for make in (
+        get_rule, lambda n: shift(get_rule(n), 1))])
+    mutated = 0
+    for pm in maps:
+        pm.check()
+        per_edge = Counter(pc.src_edge for pc in pm.pieces)
+        for i, pc in enumerate(pm.pieces):
+            if per_edge[pc.src_edge] < 2:
+                continue
+            rest = pm.pieces[:i] + pm.pieces[i + 1:]
+            with pytest.raises(InternalInconsistency, match="pieces of"):
+                PiecewiseMap(pm.domain, pm.codomain, rest).check()
+            length = pm.codomain.lengths[pc.img_edge]
+            mirrored = [*rest, Piece(pc.src_edge, pc.src_a, pc.src_b,
+                                     pc.img_edge, length - pc.img_a,
+                                     length - pc.img_b)]
+            with pytest.raises(InternalInconsistency):
+                PiecewiseMap(pm.domain, pm.codomain, mirrored).check()
+            # the sign alone flipped leaves the edge
+            negated = [*rest, Piece(pc.src_edge, pc.src_a, pc.src_b,
+                                    pc.img_edge, -pc.img_a, -pc.img_b)]
+            with pytest.raises(InternalInconsistency, match="bad image"):
+                PiecewiseMap(pm.domain, pm.codomain, negated).check()
+            mutated += 1
+    assert mutated >= 20, mutated
+    # two edges leaving vertex a from two different points
+    g = ConformalGraph(("a", "b", "c"), {"e1": ("a", "b"), "e2": ("a", "c")},
+                       2.0, {"e1": 1, "e2": 1})
+    torn = PiecewiseMap(g, g, [Piece("e1", 0, 1, "e1", 0, 1),
+                               Piece("e2", 0, 1, "e1", 1, 0)])
+    with pytest.raises(InternalInconsistency, match="vertex a has two"):
+        torn.check()
+
+
+def test_piecewise_map_check_catches_reversed_path():
+    # a replacement path run from the removed edge's head to its tail sends
+    # the edge's tail to the wrong vertex, which the retraction's check sees
+    reversed_paths = 0
+    for name in ("square_spider_julia", "spider_twocycle_2"):
+        for make in (get_rule, lambda n: shift(get_rule(n), 1)):
+            probe = make(name)
+            ctx = energies._certificate_context(probe)
+            crochet_certificate(probe, 2.0, 4)
+            for v, path in list(ctx.paths.items()):
+                if not path:
+                    continue
+                ctx.paths[v] = [flip(d) for d in reversed(path)]
+                with pytest.raises(InternalInconsistency, match="two images"):
+                    crochet_certificate(probe, 2.0, 4)
+                ctx.paths[v] = path
+                reversed_paths += 1
+    assert reversed_paths >= 4
 
 
 def _attempt(rule, p, k):

@@ -346,6 +346,28 @@ def test_power_of_doubling_valid():
         assert rep.notes["degree"] == 2 ** k
 
 
+def test_power_carriers_match_ancestor_walk():
+    # power composes the carriers level by level; Tower.ancestor walks each
+    # cell down to level 0 on its own
+    checked = 0
+    for name in sorted(CATALOG):
+        rule = get_rule(name)
+        if validate_rule(rule).notes["degree"] != 2:
+            continue
+        tower = Tower.of(rule)
+        for k in (2, 3):
+            pw = power(rule, k)
+            cx = tower.up_to(k).complex
+            assert pw.carrier_vertices == {
+                v: tower.ancestor(v, "vertex", k, 0)[:2] for v in cx.vertices}
+            assert pw.carrier_edges == {
+                e: tower.ancestor(e, "edge", k, 0)[:2] for e in cx.edges}
+            assert pw.carrier_tiles == {
+                t: tower.ancestor(t, "tile", k, 0)[1] for t in cx.tiles}
+            checked += 1
+    assert checked == 8
+
+
 def test_classification_stable_under_shift():
     for rule in (power_spider_2(), doubling_edge()):
         base = classify_vertices(rule)
