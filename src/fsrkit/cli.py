@@ -251,7 +251,9 @@ def cmd_report(args) -> int:
     rule = _load(args)
     mcs = tuple(load_multicurve(p) for p in (args.multicurve or ()))
     rep = analyze(rule, multicurves=mcs)
-    _emit(args, rep.to_json())
+    # --json converts the report once, in _emit; the text form lists the
+    # fields of its JSON data
+    _emit(args, rep if args.json else rep.to_json())
     return 0
 
 

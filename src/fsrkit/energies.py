@@ -353,31 +353,50 @@ class PiecewiseMap:
         return edge, coord
 
 
-def fill_profile(pm: PiecewiseMap, p: float
-                 ) -> dict[str, list[tuple[Fraction, Fraction, float]]]:
-    """Per codomain edge, the fill value on each sub-interval between
-    breakpoints (exact int or Fraction breakpoints, float fill values)."""
+FillCuts = dict[str, tuple[list, list[tuple[int, int, float]]]]
+
+
+def fill_cuts(pm: PiecewiseMap) -> FillCuts:
+    """The part of ``fill_profile`` that does not depend on p: per codomain
+    edge, its sorted breakpoints and, in piece order, the cut index range
+    and derivative of each piece with a non-degenerate image on it."""
     cover: dict[str, list[tuple[Fraction, Fraction, float]]] = {
         e: [] for e in pm.codomain.edges}
     for pc in pm.pieces:
         lo, hi = sorted((pc.img_a, pc.img_b))
         if lo == hi:
             continue
-        w = float(pc.derivative())
-        cover[pc.img_edge].append((lo, hi, w if p == inf else w ** (p - 1.0)))
-    out: dict[str, list[tuple[Fraction, Fraction, float]]] = {}
+        cover[pc.img_edge].append((lo, hi, float(pc.derivative())))
+    out: FillCuts = {}
     for e, ivs in cover.items():
         cuts = sorted({0, pm.codomain.lengths[e],
                        *(x for iv in ivs for x in iv[:2])})
         index = {x: i for i, x in enumerate(cuts)}
+        out[e] = cuts, [(index[lo], index[hi], w) for lo, hi, w in ivs]
+    return out
+
+
+def fill_values(structure: FillCuts, p: float
+                ) -> dict[str, list[tuple[Fraction, Fraction, float]]]:
+    """The fill profile at p from the cut structure of ``fill_cuts``."""
+    out: dict[str, list[tuple[Fraction, Fraction, float]]] = {}
+    for e, (cuts, ivs) in structure.items():
         fill = [0.0] * (len(cuts) - 1)
         # each sub-interval sums its covering pieces in piece order, so the
         # floats are bitwise those of a per-interval scan
-        for lo, hi, w in ivs:
-            for i in range(index[lo], index[hi]):
+        for i0, i1, w in ivs:
+            w = w if p == inf else w ** (p - 1.0)
+            for i in range(i0, i1):
                 fill[i] = max(fill[i], w) if p == inf else fill[i] + w
         out[e] = list(zip(cuts, cuts[1:], fill))
     return out
+
+
+def fill_profile(pm: PiecewiseMap, p: float
+                 ) -> dict[str, list[tuple[Fraction, Fraction, float]]]:
+    """Per codomain edge, the fill value on each sub-interval between
+    breakpoints (exact int or Fraction breakpoints, float fill values)."""
+    return fill_values(fill_cuts(pm), p)
 
 
 def piecewise_energy(prof: dict[str, list[tuple[Fraction, Fraction, float]]],
@@ -429,8 +448,9 @@ class _CertificateContext:
     the Julia stars is raised here; an error of the later, topological part
     is kept in ``failure`` and raised where it ran before, after the checks
     of the K-expanding lengths.  ``refused`` marks an F0 that is not a
-    forest.  ``lengths`` memoizes the chain-rank lengths per K, which
-    ``crochet_certificate`` fills in."""
+    forest.  ``lengths`` memoizes the chain-rank lengths per K, and
+    ``retractions`` the checked retraction and its fill cuts per K; both are
+    filled in by ``crochet_certificate``."""
 
     def __init__(self, rule: SubdivisionRule):
         self.k1 = math.lcm(*recurrency_periods(rule).values())
@@ -469,6 +489,7 @@ class _CertificateContext:
         self.failure: FsrError | None = None
         self.refused = False
         self.lengths: dict[int, dict[str, int]] = {}
+        self.retractions: dict[int, tuple[PiecewiseMap, FillCuts]] = {}
         try:
             self._topology()
         except FsrError as exc:
@@ -607,13 +628,14 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
     natural representative (vertex images, actions, dual endpoints of levels
     0 and 1); the collapsed blobs, recurrent lifts and the rooted forest with
     its level-1 vertices, blob incidence counts, N and M; and the error or
-    refusal any of these ends in.  The chain-rank lengths depend on K only
-    and are memoized per K in the context.  Each (K, p) runs the retraction
-    pieces, the pulls, the deformed map and the energies, in exact integer
-    arithmetic: the retraction is scaled by the lcm of its replacement-path
-    totals, and the lengths lifted to level 1 and the deformed map by the lcm
-    of the pulls' denominators.  The pulls are computed as Fractions and
-    reported unscaled.
+    refusal any of these ends in.  The chain-rank lengths, the retraction
+    and the cut structure of its fill profile depend on K only and are
+    memoized per K in the context.  Each (K, p) sums the retraction's fill
+    weights and runs the pulls, the deformed map and its energy.  Both maps
+    are built in exact integer arithmetic: the retraction is scaled by the
+    lcm of its replacement-path totals, and the lengths lifted to level 1 and
+    the deformed map by the lcm of the pulls' denominators.  The pulls are
+    computed as Fractions and reported unscaled.
     """
     if not (1 < p < inf):
         raise ValidationFailure("certificate needs 1 < p < infinity",
@@ -642,30 +664,11 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
     if ctx.failure is not None:
         raise _bare(ctx.failure)
 
-    # retraction G0 -> H0 as explicit pieces, scaled so that every split of
-    # a removed edge along its replacement path is an integer
-    phi = ctx.phi
-    totals = {v: sum(alpha[x] for x, _ in path)
-              for v, path in ctx.paths.items()}
-    rho_scale = math.lcm(*(t for t in totals.values() if t))
-    g0 = ConformalGraph(phi.codomain.vertices, phi.codomain.edges, p,
-                        {e: a * rho_scale for e, a in alpha.items()})
-    rho = PiecewiseMap(g0, g0)
-    for e in g0.edges:
-        if e not in ctx.boosts:
-            rho.pieces.append(Piece(e, 0, g0.lengths[e], e, 0, g0.lengths[e]))
-    for v, e_long in ctx.removed.items():
-        # a path position pos lies at pos / total of e_long (an empty path,
-        # at a Julia vertex of degree 1, has no pieces)
-        step, pos = rho_scale // (totals[v] or 1) * alpha[e_long], 0
-        for x, direction in ctx.paths[v]:
-            ends = (0, g0.lengths[x]) if direction == PLUS else (
-                g0.lengths[x], 0)
-            rho.pieces.append(Piece(e_long, pos * step,
-                                    (pos + alpha[x]) * step, x, *ends))
-            pos += alpha[x]
-    rho.check()
-    e_rho, _ = piecewise_energy(fill_profile(rho, p), p)
+    if k_factor not in ctx.retractions:
+        rho = _retraction(ctx, alpha, p)
+        ctx.retractions[k_factor] = rho, fill_cuts(rho)
+    _, rho_cuts = ctx.retractions[k_factor]
+    e_rho, _ = piecewise_energy(fill_values(rho_cuts, p), p)
     if ctx.refused:
         return CertificateReport(
             p, False, float("nan"), float("nan"), e_rho, float("nan"),
@@ -675,6 +678,7 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
                               "not a forest"})
     rho_envelope = ((ctx.max_julia_degree / k_factor) ** (p - 1.0)
                     + 1.0) ** (1 / p)
+    phi = ctx.phi
 
     # pull distances: per pulled vertex, capped by local edge lengths and
     # staggered so that every child pull strictly dominates its parent's
@@ -751,6 +755,36 @@ def crochet_certificate(rule: SubdivisionRule, p: float,
         case_bounds=case_bounds,
         notes={"worst_fill_edge": worst_edge},
     )
+
+
+def _retraction(ctx: _CertificateContext, alpha: dict[str, int], p: float
+                ) -> PiecewiseMap:
+    """The checked retraction G0 -> H0 at the lengths ``alpha`` as explicit
+    pieces, scaled so that every split of a removed edge along its
+    replacement path is an integer.  Its graphs carry the exponent p of the
+    certificate that built it; the fill cuts do not depend on it."""
+    phi = ctx.phi
+    totals = {v: sum(alpha[x] for x, _ in path)
+              for v, path in ctx.paths.items()}
+    rho_scale = math.lcm(*(t for t in totals.values() if t))
+    g0 = ConformalGraph(phi.codomain.vertices, phi.codomain.edges, p,
+                        {e: a * rho_scale for e, a in alpha.items()})
+    rho = PiecewiseMap(g0, g0)
+    for e in g0.edges:
+        if e not in ctx.boosts:
+            rho.pieces.append(Piece(e, 0, g0.lengths[e], e, 0, g0.lengths[e]))
+    for v, e_long in ctx.removed.items():
+        # a path position pos lies at pos / total of e_long (an empty path,
+        # at a Julia vertex of degree 1, has no pieces)
+        step, pos = rho_scale // (totals[v] or 1) * alpha[e_long], 0
+        for x, direction in ctx.paths[v]:
+            ends = (0, g0.lengths[x]) if direction == PLUS else (
+                g0.lengths[x], 0)
+            rho.pieces.append(Piece(e_long, pos * step,
+                                    (pos + alpha[x]) * step, x, *ends))
+            pos += alpha[x]
+    rho.check()
+    return rho
 
 
 def _peripheral_complement(dual0, v: str, e_long: str) -> list[Dart]:

@@ -1,12 +1,24 @@
 """File formats: the JSON rule schema, multicurve specs, and canonical
-serialization (sorted keys, %.12g floats) for byte-stable round trips."""
+serialization for byte-stable round trips.
+
+The canonical format, written by ``canonical_json``: object keys sorted, a
+2-space indent with ``,`` and ``": "`` separators, floats rounded to
+``%.12g`` and written as Python's shortest repr (``NaN``, ``Infinity`` and
+``-Infinity`` for the non-finite ones), non-ASCII characters kept as they
+are, and a trailing newline.  Tuples are written as lists, Fractions as
+strings and frozensets as sorted lists.  It is the text of
+``json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"``
+with those conversions applied first, produced in one pass.
+"""
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from typing import Any, Iterable
+from functools import cache
+from typing import Any, Callable, Iterable
 
 from .complexes import SphereComplex, sign_of, sign_str
 from .errors import ValidationFailure
@@ -15,26 +27,113 @@ from .rules import EdgeImage, SubdivisionRule, TileImage
 
 SCHEMA_VERSION = 1
 
+_quote = json.encoder.encode_basestring     # C-accelerated where available
 
-def _fmt(value: Any) -> Any:
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, frozenset):
-        return sorted(value)
-    if isinstance(value, tuple):
-        return [_fmt(v) for v in value]
-    if isinstance(value, list):
-        return [_fmt(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in value.items()}
-    return value
+
+# json's names for the non-finite floats, keyed by Python's
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _rounded_text(x: float) -> str:
+    """A float rounded to %.12g, as json writes the rounded value."""
+    text = f"{x:.12g}"
+    return _NON_FINITE.get(text) or repr(float(text))
+
+
+def _bool_text(x: bool) -> str:
+    return "true" if x else "false"
+
+
+def _null_text(x: None) -> str:
+    return "null"
+
+
+# the text of a value of exactly one of these types; containers, subclasses
+# and the rest go through _write's isinstance chain
+_LEAF_TEXT = {str: _quote, int: int.__repr__, float: _rounded_text,
+              bool: _bool_text, type(None): _null_text}
+
+
+def _key_text(key: Any) -> str:
+    """An object key as json writes it: non-str keys converted unrounded."""
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, float):
+        text = float.__repr__(key)
+        return _quote(_NON_FINITE.get(text, text))
+    if isinstance(key, bool):
+        return '"true"' if key else '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _quote(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _write(value: Any, nl: str, append: Callable[[str], None]) -> None:
+    """Append the canonical text of ``value`` by ``append``; ``nl`` is the
+    newline and indent of the line the value starts on.  The leaves of a
+    container are written in its loop, without a call of their own."""
+    leaf = _LEAF_TEXT.get(type(value))
+    if leaf is not None:
+        append(leaf(value))
+    elif isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        inner = nl + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, item in sorted(value.items()):
+            key = _quote(key) if type(key) is str else _key_text(key)
+            leaf = _LEAF_TEXT.get(type(item))
+            if leaf is None:
+                append(f"{sep}{key}: ")
+                _write(item, inner, append)
+            else:
+                append(f"{sep}{key}: {leaf(item)}")
+            sep = comma
+        append(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append("[]")
+            return
+        inner = nl + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            leaf = _LEAF_TEXT.get(type(item))
+            if leaf is None:
+                append(sep)
+                _write(item, inner, append)
+            else:
+                append(sep + leaf(item))
+            sep = comma
+        append(nl + "]")
+    elif isinstance(value, str):
+        append(_quote(value))
+    elif isinstance(value, int):
+        append(int.__repr__(value))
+    elif isinstance(value, float):
+        append(_rounded_text(value))
+    elif isinstance(value, Fraction):
+        append(_quote(str(value)))
+    elif isinstance(value, frozenset):
+        # the sorted elements as json writes them, floats unrounded; a
+        # string in json's output holds no raw newline, so only the layout's
+        # newlines are re-indented
+        append(json.dumps(sorted(value), sort_keys=True, indent=2,
+                          ensure_ascii=False).replace("\n", nl))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        f"is not JSON serializable")
 
 
 def canonical_json(data: Any) -> str:
-    return json.dumps(_fmt(data), sort_keys=True, indent=2,
-                      ensure_ascii=False) + "\n"
+    """``data`` in the canonical format of this module's docstring."""
+    out: list[str] = []
+    _write(data, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
 
 
 def complex_to_json(cx: SphereComplex) -> dict:
@@ -189,27 +288,38 @@ def load_multicurve(path: str) -> MulticurveSpec:
     return multicurve_from_json(_load_json(path))
 
 
-def jsonable(value: Any) -> Any:
-    """Best-effort conversion of report objects to JSON-compatible data."""
-    from dataclasses import fields, is_dataclass
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
-    if value is None or isinstance(value, (str, int, bool)):
+
+def jsonable(value: Any) -> Any:
+    """Best-effort conversion of report objects to JSON-compatible data:
+    floats rounded to %.12g (non-finite ones as "nan", "inf", "-inf"),
+    Fractions as strings, dict keys as str, sets sorted by repr, dataclasses
+    as dicts of their fields, anything else as its repr.  The exact scalar
+    types are dispatched on ``type(value)`` first, the common containers
+    next, and the rest, subclasses included, by isinstance."""
+    cls = type(value)
+    if cls is str or cls is int or cls is bool or value is None:
         return value
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
         return float(f"{value:.12g}")
+    if isinstance(value, (str, int)):
+        return value
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = [jsonable(v) for v in value]
-        return sorted(items, key=repr) if isinstance(value, (set, frozenset)) \
-            else items
+    if isinstance(value, (set, frozenset)):
+        return sorted((jsonable(v) for v in value), key=repr)
     if is_dataclass(value):
-        return {f.name: jsonable(getattr(value, f.name))
-                for f in fields(value)}
+        return {name: jsonable(getattr(value, name)) for name in
+                _field_names(value if isinstance(value, type) else cls)}
     return repr(value)

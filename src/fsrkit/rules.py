@@ -335,7 +335,7 @@ def _check_rule(rule: SubdivisionRule
                                    "not a level-0 cell")
         if v1 not in rule.map_vertices:
             return fail("map", f"vertex {v1} has no image")
-        if rule.map_vertices[v1] not in set(c0.vertices):
+        if rule.map_vertices[v1] not in cells0["vertex"]:
             return fail("post-critical containment",
                         f"vertex {v1} maps outside Vert(level0)")
     for e1 in c1.edges:

@@ -329,7 +329,9 @@ def test_fill_profile_scale_invariant(p):
 
 def _recorded_maps(monkeypatch, rules_) -> list[PiecewiseMap]:
     """Every retraction and deformed map that the certificates of ``rules_``
-    build at p = 2 over the K grid."""
+    build at p = 2 over the K grid: the retractions as memoized per K in the
+    rule's certificate context, the deformed maps as they reach
+    ``fill_profile``."""
     maps = []
     profile = energies.fill_profile
 
@@ -341,6 +343,8 @@ def _recorded_maps(monkeypatch, rules_) -> list[PiecewiseMap]:
     for rule in rules_:
         for k in DEFAULT_K_GRID:
             crochet_certificate(rule, 2.0, k)
+        retractions = energies._certificate_context(rule).retractions
+        maps += [rho for rho, _ in retractions.values()]
     monkeypatch.undo()
     return maps
 
@@ -397,7 +401,10 @@ def test_piecewise_map_check_catches_reversed_path():
             for v, path in list(ctx.paths.items()):
                 if not path:
                     continue
+                # the retraction is memoized per K: drop it to rebuild it
+                # from the flipped path
                 ctx.paths[v] = [flip(d) for d in reversed(path)]
+                ctx.retractions.clear()
                 with pytest.raises(InternalInconsistency, match="two images"):
                     crochet_certificate(probe, 2.0, 4)
                 ctx.paths[v] = path
