@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import is_dataclass
 
 from . import catalog as catalog_mod
 from .dynamics import (
@@ -58,10 +59,13 @@ def _load(args) -> SubdivisionRule:
 
 
 def _emit(args, data) -> None:
+    """Write a result as canonical JSON, or as indented text; a dataclass
+    result is listed by the fields of its JSON data."""
     if getattr(args, "json", False):
         sys.stdout.write(canonical_json(jsonable(data)))
     else:
-        sys.stdout.write(_pretty(data) + "\n")
+        sys.stdout.write(_pretty(jsonable(data) if is_dataclass(data)
+                                 else data) + "\n")
 
 
 def _pretty(data, indent: int = 0) -> str:
@@ -250,10 +254,7 @@ def cmd_energy(args) -> int:
 def cmd_report(args) -> int:
     rule = _load(args)
     mcs = tuple(load_multicurve(p) for p in (args.multicurve or ()))
-    rep = analyze(rule, multicurves=mcs)
-    # --json converts the report once, in _emit; the text form lists the
-    # fields of its JSON data
-    _emit(args, rep if args.json else rep.to_json())
+    _emit(args, analyze(rule, multicurves=mcs))
     return 0
 
 

@@ -163,10 +163,10 @@ def dual_conformal_graph(rule: SubdivisionRule, tower: Tower, n: int, p: float,
     level-n covering: a dual edge inherits the length of its type's dual."""
     lv = tower.up_to(n)
     dual = dual_skeleton(lv.complex)
+    types = lv.by_id("edge", "type_cell")
     lengths = {}
     for e in lv.complex.edges:
-        etype = lv.einfo[e].type_cell
-        lengths[e] = (base_lengths or {}).get(etype, Fraction(1))
+        lengths[e] = (base_lengths or {}).get(types[e], Fraction(1))
     return ConformalGraph(tuple(sorted(lv.complex.tiles)),
                           {e: (dual.dart_tile[(e, MINUS)],
                                dual.dart_tile[(e, PLUS)])
@@ -511,8 +511,8 @@ class _CertificateContext:
             self.paths[v] = path
         rec0 = recurrent_edge_ids(work, 0)
         rec1 = recurrent_edge_ids(work, 1)
-        einfo1 = tower.up_to(1).einfo
-        self.types1 = {e: einfo1[e].type_cell for e in g1.edges}
+        types1 = tower.up_to(1).by_id("edge", "type_cell")
+        self.types1 = {e: types1[e] for e in g1.edges}
         self.f0_edges = f0_edges = sorted(rec0 - self.boosts.keys())
         self.h1_edges = h1_edges = {e for e, t in self.types1.items()
                                     if t not in self.boosts}

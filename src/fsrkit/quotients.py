@@ -524,14 +524,15 @@ def edge_level_darts(tower: Tower, e0: str, level: int) -> list[Dart]:
     for j in range(level):
         lv = tower.up_to(j)
         out: list[Dart] = []
+        types = lv.by_id("edge", "type_cell")
+        orients = lv.by_id("edge", "type_orient")
         for (eid, direction) in darts:
-            info = lv.einfo[eid]
-            path = tower.index.path[info.type_cell]
+            path = tower.index.path[types[eid]]
             if j == 0:
                 run = [(x, d) for (x, d) in path]
             else:
                 run = [(f"{eid}/e.{x}", d) for (x, d) in path]
-            if info.type_orient == MINUS:
+            if orients[eid] == MINUS:
                 run = [flip(d2) for d2 in reversed(run)]
             if direction == MINUS:
                 run = [flip(d2) for d2 in reversed(run)]
@@ -551,7 +552,7 @@ def vertex_sequence_on_edge(tower: Tower, e0: str, level: int) -> list[str]:
 
 def _birth_level(tower: Tower, vid: str, max_level: int) -> int:
     for j in range(max_level + 1):
-        if vid in tower.up_to(j).vinfo:
+        if vid in tower.up_to(j).by_id("vertex", "fimage"):
             return j
     raise InternalInconsistency(f"vertex {vid} not found below level {max_level}")
 
@@ -574,7 +575,7 @@ def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]]
         while cl > 0:
             if cur not in points or points[cur] > cl:
                 points[cur] = cl
-            cur = tower.up_to(cl).vinfo[cur].fimage
+            cur = tower.up_to(cl).by_id("vertex", "fimage")[cur]
             cl -= 1
         # cur is now a level-0 vertex; its orbit already consists of vertices
     points = {v: l for v, l in points.items()
@@ -626,11 +627,11 @@ def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]]
     hi = tower.up_to(level_max + 1)
     new_ids = set(points) | set(c0.vertices)
     w_points: dict[str, int] = {}
-    for vid in hi.vinfo:
+    for vid in hi.complex.vertices:
         if vid in c1.vertices:
             continue
         bl = _birth_level(tower, vid, level_max + 1)
-        if tower.up_to(bl).vinfo[vid].fimage in new_ids:
+        if tower.up_to(bl).by_id("vertex", "fimage")[vid] in new_ids:
             w_points[vid] = bl
 
     split1: dict[str, list[str]] = {}
@@ -738,7 +739,7 @@ def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]]
     for vid in sorted(w_points):
         if vid not in map_vertices:
             bl = w_points[vid]
-            map_vertices[vid] = tower.up_to(bl).vinfo[vid].fimage
+            map_vertices[vid] = tower.up_to(bl).by_id("vertex", "fimage")[vid]
 
     seg_by_ends: dict[str, dict[frozenset, str]] = {}
     seg_order: dict[str, list[tuple[str, str, str]]] = seg0
@@ -804,11 +805,12 @@ def _vertex_sequence_on_level1_edge(tower: Tower, e1: str, level: int
     for j in range(1, level):
         lv = tower.up_to(j)
         out: list[Dart] = []
+        types = lv.by_id("edge", "type_cell")
+        orients = lv.by_id("edge", "type_orient")
         for (eid, direction) in darts:
-            info = lv.einfo[eid]
-            path = tower.index.path[info.type_cell]
+            path = tower.index.path[types[eid]]
             run = [(f"{eid}/e.{x}", d) for (x, d) in path]
-            if info.type_orient == MINUS:
+            if orients[eid] == MINUS:
                 run = [flip(d2) for d2 in reversed(run)]
             if direction == MINUS:
                 run = [flip(d2) for d2 in reversed(run)]
@@ -860,9 +862,8 @@ def isolate_julia_vertices(rule: SubdivisionRule) -> SubdivisionRule:
         k = None
         for level in range(1, 2 * len(rule.level0.edges) + 2):
             seq = vertex_sequence_on_edge(tower, e0, level)
-            lv = tower.up_to(level)
-            fatou = [v for v in seq[1:-1]
-                     if classes.is_fatou[lv.vinfo[v].type_cell]]
+            types = tower.up_to(level).by_id("vertex", "type_cell")
+            fatou = [v for v in seq[1:-1] if classes.is_fatou[types[v]]]
             if fatou:
                 seeds.append((min(fatou), level))
                 k = level

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Literal, NamedTuple
+from typing import Literal
 
 from .complexes import (
     Dart,
@@ -502,72 +502,83 @@ def require_valid_rule(rule: SubdivisionRule) -> RuleIndex:
 # ---------------------------------------------------------------------------
 
 
-class CellInfo(NamedTuple):
-    kind: Kind
-    parent: str | None = None        # containing cell id one level down
-    parent_kind: Kind | None = None
-    type_cell: str = ""              # level-0 cell under f^level
-    type_orient: int = PLUS          # edges only
-    type_align: int = 0              # tiles only
-    fimage: str | None = None        # one-step image cell id (level >= 1)
-    fimage_orient: int = PLUS
-    fimage_align: int = 0
-    rel_orient: int = PLUS           # edges inside an edge parent: direction
-
-
-@dataclass
+@dataclass(frozen=True)
 class LeveledComplex:
+    """The level-n complex R^n(S) with its cells stored as columns.
+
+    ``columns[kind][name]`` is a list parallel to the complex's own cell
+    order for that kind (``complex.vertices``, ``complex.edges``,
+    ``complex.tiles``).  Each kind has ``parent`` and ``parent_kind`` (the
+    containing cell one level down; None at level 0; a persisting vertex is
+    its own parent), ``type_cell`` (the level-0 cell under f^n) and
+    ``fimage`` (the one-step image cell; None at level 0).  Edges add
+    ``type_orient`` and ``rel_orient`` (the direction of an edge inside an
+    edge parent, else PLUS); tiles add ``type_align``.  The image's
+    orientation and alignment are not stored: at level 1 they are the type's,
+    and from level 2 on a cell maps onto the same child of its parent's
+    image, with orientation PLUS and alignment 0.
+
+    ``by_id`` reads a column by cell id through a memoized dict."""
+
     complex: SphereComplex
     level: int
-    vinfo: dict[str, CellInfo]
-    einfo: dict[str, CellInfo]
-    tinfo: dict[str, CellInfo]
+    columns: dict[Kind, dict[str, list]]
 
-    def edge_type(self, e: str) -> tuple[str, int]:
-        info = self.einfo[e]
-        return info.type_cell, info.type_orient
+    def ids(self, kind: Kind):
+        """The cell ids of one kind, in column order."""
+        cx = self.complex
+        return (cx.vertices if kind == "vertex"
+                else cx.edges if kind == "edge" else cx.tiles)
 
-    def tile_type(self, t: str) -> tuple[str, int]:
-        info = self.tinfo[t]
-        return info.type_cell, info.type_align
+    def by_id(self, kind: Kind, name: str) -> dict:
+        """``{cell id: value}`` of one column, built once per level."""
+        m = memo(self)
+        key = (kind, name)
+        if key not in m:
+            m[key] = dict(zip(self.ids(kind), self.columns[kind][name]))
+        return m[key]
 
 
 def level_zero(rule: SubdivisionRule) -> LeveledComplex:
     c0 = rule.level0
-    vinfo = {v: CellInfo("vertex", type_cell=v) for v in c0.vertices}
-    einfo = {e: CellInfo("edge", type_cell=e) for e in c0.edges}
-    tinfo = {t: CellInfo("tile", type_cell=t) for t in c0.tiles}
-    return LeveledComplex(c0, 0, vinfo, einfo, tinfo)
+    columns: dict[Kind, dict[str, list]] = {}
+    for kind, ids in (("vertex", c0.vertices), ("edge", c0.edges),
+                      ("tile", c0.tiles)):
+        n = len(ids)
+        cols = {"parent": [None] * n, "parent_kind": [None] * n,
+                "type_cell": list(ids), "fimage": [None] * n}
+        if kind == "edge":
+            cols["type_orient"] = cols["rel_orient"] = [PLUS] * n
+        elif kind == "tile":
+            cols["type_align"] = [0] * n
+        columns[kind] = cols
+    return LeveledComplex(c0, 0, columns)
 
 
 def level_one(rule: SubdivisionRule, index: RuleIndex) -> LeveledComplex:
     c1 = rule.level1
-    vinfo: dict[str, CellInfo] = {}
-    einfo: dict[str, CellInfo] = {}
-    tinfo: dict[str, CellInfo] = {}
-    for v1 in c1.vertices:
-        kind, ref = rule.carrier_vertices[v1]
-        vinfo[v1] = CellInfo("vertex", parent=ref, parent_kind=kind,
-                             type_cell=rule.map_vertices[v1],
-                             fimage=rule.map_vertices[v1])
-    for e1 in c1.edges:
-        kind, ref = rule.carrier_edges[e1]
-        img = rule.map_edges[e1]
-        rel = PLUS
-        if kind == "edge":
-            path = index.path[ref]
-            rel = next(s for (eid, s) in path if eid == e1)
-        einfo[e1] = CellInfo("edge", parent=ref, parent_kind=kind,
-                             type_cell=img.edge, type_orient=img.orient,
-                             fimage=img.edge, fimage_orient=img.orient,
-                             rel_orient=rel)
-    for t1 in c1.tiles:
-        img = rule.map_tiles[t1]
-        tinfo[t1] = CellInfo("tile", parent=rule.carrier_tiles[t1],
-                             parent_kind="tile",
-                             type_cell=img.tile, type_align=img.align,
-                             fimage=img.tile, fimage_align=img.align)
-    return LeveledComplex(c1, 1, vinfo, einfo, tinfo)
+    vcar = [rule.carrier_vertices[v] for v in c1.vertices]
+    vtype = [rule.map_vertices[v] for v in c1.vertices]
+    ecar = [rule.carrier_edges[e] for e in c1.edges]
+    eimg = [rule.map_edges[e] for e in c1.edges]
+    etype = [img.edge for img in eimg]
+    timg = [rule.map_tiles[t] for t in c1.tiles]
+    ttype = [img.tile for img in timg]
+    # an edge inside an edge runs along the parent's path in this direction
+    rel = {e1: s for path in index.path.values() for e1, s in path}
+    return LeveledComplex(c1, 1, {
+        "vertex": {"parent": [ref for _, ref in vcar],
+                   "parent_kind": [kind for kind, _ in vcar],
+                   "type_cell": vtype, "fimage": vtype},
+        "edge": {"parent": [ref for _, ref in ecar],
+                 "parent_kind": [kind for kind, _ in ecar],
+                 "type_cell": etype, "fimage": etype,
+                 "type_orient": [img.orient for img in eimg],
+                 "rel_orient": [rel.get(e, PLUS) for e in c1.edges]},
+        "tile": {"parent": [rule.carrier_tiles[t] for t in c1.tiles],
+                 "parent_kind": ["tile"] * len(timg),
+                 "type_cell": ttype, "fimage": ttype,
+                 "type_align": [img.align for img in timg]}})
 
 
 def _vertex_dynamics(rule: SubdivisionRule, index: RuleIndex) -> dict[str, str]:
@@ -632,68 +643,85 @@ def _templates(rule: SubdivisionRule, index: RuleIndex
 
 def subdivide_once(rule: SubdivisionRule, index: RuleIndex, lv: LeveledComplex,
                    budget: int = DEFAULT_CELL_BUDGET) -> LeveledComplex:
-    """One pullback step: copy each cell's type pattern through its alignment."""
+    """One pullback step: copy each cell's type pattern through its alignment
+    and append the children's columns."""
     if lv.level == 0:
         return level_one(rule, index)
     c = lv.complex
     edges = c.edges
-    f0 = _vertex_dynamics(rule, index)
     edge_tpl, tile_tpl = _templates(rule, index)
+    vcols, ecols, tcols = (lv.columns[k] for k in ("vertex", "edge", "tile"))
+    # the size of the next level, checked before any of it is built: the
+    # vertices persist, and each edge and tile adds its type's template cells
+    total = len(c.vertices) + sum(
+        n * sum(map(len, tpl[ty]))
+        for tpl, cols in ((edge_tpl, ecols), (tile_tpl, tcols))
+        for ty, n in Counter(cols["type_cell"]).items())
+    if total > budget:
+        raise BudgetExceeded(
+            f"level {lv.level + 1} needs {total} cells (budget {budget})",
+            reached=lv.level)
+    f0 = _vertex_dynamics(rule, index)
     deeper = lv.level > 1
-
-    new_vinfo: dict[str, CellInfo] = {}
-    new_einfo: dict[str, CellInfo] = {}
-    new_tinfo: dict[str, CellInfo] = {}
-    new_edges: dict[str, tuple[str, str]] = {}
-    new_tiles: dict[str, tuple[Dart, ...]] = {}
 
     # persisting vertices: contained in themselves one level down; the image
     # point keeps its id except across the 0 -> 1 id change
-    for v, info in lv.vinfo.items():
-        fim = info.fimage if deeper else index.vertex_copy[info.fimage]
-        new_vinfo[v] = CellInfo("vertex", v, "vertex", f0[info.type_cell],
-                                PLUS, 0, fim)
+    vertices = list(c.vertices)
+    v_parent = list(c.vertices)
+    v_type = [f0[ty] for ty in vcols["type_cell"]]
+    v_fim = (list(vcols["fimage"]) if deeper
+             else [index.vertex_copy[f] for f in vcols["fimage"]])
+    n_persist = len(vertices)
+    new_edges: dict[str, tuple[str, str]] = {}
+    new_tiles: dict[str, tuple[Dart, ...]] = {}
+    e_parent, e_type, e_orient, e_fim, e_rel = [], [], [], [], []
+    t_parent, t_type, t_align, t_fim = [], [], [], []
 
     # a child's image is the same child of its parent's image, or at level 2
     # the level-1 cell itself.  Edge subdivision: copies of the type's path
     # cells, endpoints resolved by path position (a loop type has one copy id
     # at both path ends)
-    for e in sorted(edges):
-        info = lv.einfo[e]
-        s = info.type_orient
-        verts, darts = edge_tpl[info.type_cell]
-        fim = info.fimage
+    for e, ety, s, fim in sorted(zip(edges, ecols["type_cell"],
+                                     ecols["type_orient"], ecols["fimage"])):
+        verts, darts = edge_tpl[ety]
         fv, fe = (fim + "/v.", fim + "/e.") if deeper else ("", "")
         pv, pe = e + "/v.", e + "/e."
         tail_e, head_e = edges[e]
         slots = [tail_e if s == PLUS else head_e]
         for w1, ty in verts:
             vid = pv + w1
-            new_vinfo[vid] = CellInfo("vertex", e, "edge", ty, PLUS, 0,
-                                      fv + w1)
+            vertices.append(vid)
+            v_parent.append(e)
+            v_type.append(ty)
+            v_fim.append(fv + w1)
             slots.append(vid)
         slots.append(head_e if s == PLUS else tail_e)
         for j, (e1, d1, ty, o) in enumerate(darts):
-            eid = pe + e1
-            new_edges[eid] = ((slots[j], slots[j + 1]) if d1 == PLUS
-                              else (slots[j + 1], slots[j]))
-            new_einfo[eid] = CellInfo("edge", e, "edge", ty, o, 0, fe + e1,
-                                      PLUS, 0, s * d1)
+            new_edges[pe + e1] = ((slots[j], slots[j + 1]) if d1 == PLUS
+                                  else (slots[j + 1], slots[j]))
+            e_parent.append(e)
+            e_type.append(ty)
+            e_orient.append(o)
+            e_fim.append(fe + e1)
+            e_rel.append(s * d1)
+    n_on_edges = len(vertices) - n_persist
+    n_edge_children = len(e_parent)
 
     # tile interiors: boundary position j of the type is the dart bnd[j]
-    for t in sorted(c.tiles):
-        info = lv.tinfo[t]
-        verts, tedges, ttiles = tile_tpl[info.type_cell]
+    for t, tty, al0, fim in sorted(zip(c.tiles, tcols["type_cell"],
+                                       tcols["type_align"], tcols["fimage"])):
+        verts, tedges, ttiles = tile_tpl[tty]
         walk = c.tiles[t]
-        r = -info.type_align % len(walk)
+        r = -al0 % len(walk)
         bnd = walk[r:] + walk[:r]
-        fim = info.fimage
         fv, fe, ft = ((fim + "/v.", fim + "/e.", fim + "/t.") if deeper
                       else ("", "", ""))
         pv, pe, pt = t + "/v.", t + "/e.", t + "/t."
         for w1, ty in verts:
-            new_vinfo[pv + w1] = CellInfo("vertex", t, "tile", ty, PLUS, 0,
-                                          fv + w1)
+            vertices.append(pv + w1)
+            v_parent.append(t)
+            v_type.append(ty)
+            v_fim.append(fv + w1)
         for e1, ends, ty, o in tedges:
             ab = []
             for j, w in ends:
@@ -704,27 +732,39 @@ def subdivide_once(rule: SubdivisionRule, index: RuleIndex, lv: LeveledComplex,
                     ab.append(edges[x][0 if sign == PLUS else 1])
                 else:
                     ab.append(bnd[j][0] + w)
-            eid = pe + e1
-            new_edges[eid] = tuple(ab)
-            new_einfo[eid] = CellInfo("edge", t, "tile", ty, o, 0, fe + e1)
+            new_edges[pe + e1] = tuple(ab)
+            e_parent.append(t)
+            e_type.append(ty)
+            e_orient.append(o)
+            e_fim.append(fe + e1)
         for t1, tdarts, ty, al in ttiles:
-            darts = []
-            for x, dr, j in tdarts:
-                darts.append((pe + x if j is None else bnd[j][0] + x, dr))
-            tid = pt + t1
-            new_tiles[tid] = tuple(darts)
-            new_tinfo[tid] = CellInfo("tile", t, "tile", ty, PLUS, al,
-                                      ft + t1)
+            new_tiles[pt + t1] = tuple([
+                (pe + x if j is None else bnd[j][0] + x, dr)
+                for x, dr, j in tdarts])
+            t_parent.append(t)
+            t_type.append(ty)
+            t_align.append(al)
+            t_fim.append(ft + t1)
 
-    total = len(new_vinfo) + len(new_edges) + len(new_tiles)
-    if total > budget:
-        raise BudgetExceeded(
-            f"level {lv.level + 1} needs {total} cells (budget {budget})",
-            reached=lv.level)
-
-    vertices = tuple(new_vinfo)
-    cx = SphereComplex(vertices, new_edges, new_tiles, c.marked)
-    return LeveledComplex(cx, lv.level + 1, new_vinfo, new_einfo, new_tinfo)
+    # parents come in runs: persisting vertices, then the children of edges,
+    # then those of tiles
+    n_in_tiles = len(vertices) - n_persist - n_on_edges
+    n_tile_edges = len(e_parent) - n_edge_children
+    cx = SphereComplex(tuple(vertices), new_edges, new_tiles, c.marked)
+    return LeveledComplex(cx, lv.level + 1, {
+        "vertex": {"parent": v_parent,
+                   "parent_kind": (["vertex"] * n_persist
+                                   + ["edge"] * n_on_edges
+                                   + ["tile"] * n_in_tiles),
+                   "type_cell": v_type, "fimage": v_fim},
+        "edge": {"parent": e_parent,
+                 "parent_kind": (["edge"] * n_edge_children
+                                 + ["tile"] * n_tile_edges),
+                 "type_cell": e_type, "type_orient": e_orient, "fimage": e_fim,
+                 "rel_orient": e_rel + [PLUS] * n_tile_edges},
+        "tile": {"parent": t_parent, "parent_kind": ["tile"] * len(t_parent),
+                 "type_cell": t_type, "type_align": t_align,
+                 "fimage": t_fim}})
 
 
 @dataclass
@@ -770,11 +810,10 @@ class Tower:
         orient = PLUS
         for lev in range(from_level, to_level, -1):
             lv = self.levels[lev]
-            info = {"vertex": lv.vinfo, "edge": lv.einfo,
-                    "tile": lv.tinfo}[kind][cell]
-            if kind == "edge" and info.parent_kind == "edge":
-                orient *= info.rel_orient
-            cell, kind = info.parent, info.parent_kind
+            if kind == "edge":
+                orient *= lv.by_id(kind, "rel_orient")[cell]
+            cell, kind = (lv.by_id(kind, "parent")[cell],
+                          lv.by_id(kind, "parent_kind")[cell])
         return kind, cell, orient
 
 
@@ -844,16 +883,18 @@ def shift(rule: SubdivisionRule, k: int) -> SubdivisionRule:
     lo = tower.up_to(k)
     hi = tower.up_to(k + 1)
 
-    carrier_vertices = {v: (info.parent_kind, info.parent)
-                        for v, info in hi.vinfo.items()}
-    carrier_edges = {e: (info.parent_kind, info.parent)
-                     for e, info in hi.einfo.items()}
-    carrier_tiles = {t: info.parent for t, info in hi.tinfo.items()}
-    map_vertices = {v: info.fimage for v, info in hi.vinfo.items()}
-    map_edges = {e: EdgeImage(info.fimage, info.fimage_orient)
-                 for e, info in hi.einfo.items()}
-    map_tiles = {t: TileImage(info.fimage, info.fimage_align)
-                 for t, info in hi.tinfo.items()}
+    cx = hi.complex
+    vcols, ecols, tcols = (hi.columns[k] for k in ("vertex", "edge", "tile"))
+    carrier_vertices = dict(zip(cx.vertices, zip(vcols["parent_kind"],
+                                                 vcols["parent"])))
+    carrier_edges = dict(zip(cx.edges, zip(ecols["parent_kind"],
+                                           ecols["parent"])))
+    carrier_tiles = dict(zip(cx.tiles, tcols["parent"]))
+    map_vertices = dict(zip(cx.vertices, vcols["fimage"]))
+    # from level 2 on a cell's image keeps its orientation and alignment
+    map_edges = {e: EdgeImage(f, PLUS)
+                 for e, f in zip(cx.edges, ecols["fimage"])}
+    map_tiles = {t: TileImage(f, 0) for t, f in zip(cx.tiles, tcols["fimage"])}
     return SubdivisionRule(
         name=f"{rule.name}:shift{k}",
         level0=lo.complex, level1=hi.complex,
@@ -875,24 +916,22 @@ def power(rule: SubdivisionRule, k: int) -> SubdivisionRule:
         (("vertex", rule.level0.vertices), ("edge", rule.level0.edges),
          ("tile", rule.level0.tiles))}
     for lv in tower.levels[1:k + 1]:
-        carrier = {kind: {c: carrier[info.parent_kind][info.parent]
-                          for c, info in infos.items()}
-                   for kind, infos in (("vertex", lv.vinfo),
-                                       ("edge", lv.einfo),
-                                       ("tile", lv.tinfo))}
+        carrier = {kind: {c: carrier[pk][p] for c, pk, p in zip(
+                       lv.ids(kind), cols["parent_kind"], cols["parent"])}
+                   for kind, cols in lv.columns.items()}
 
-    carrier_vertices = {v: carrier["vertex"][v] for v in hi.complex.vertices}
-    carrier_edges = {e: carrier["edge"][e] for e in hi.complex.edges}
-    carrier_tiles = {t: carrier["tile"][t][1] for t in hi.complex.tiles}
-    map_vertices = {v: info.type_cell for v, info in hi.vinfo.items()}
-    map_edges = {e: EdgeImage(info.type_cell, info.type_orient)
-                 for e, info in hi.einfo.items()}
-    map_tiles = {t: TileImage(info.type_cell, info.type_align)
-                 for t, info in hi.tinfo.items()}
+    cx = hi.complex
+    ecols, tcols = hi.columns["edge"], hi.columns["tile"]
+    carrier_tiles = {t: ref for t, (_, ref) in carrier["tile"].items()}
+    map_vertices = dict(zip(cx.vertices, hi.columns["vertex"]["type_cell"]))
+    map_edges = {e: EdgeImage(ty, o) for e, ty, o in zip(
+        cx.edges, ecols["type_cell"], ecols["type_orient"])}
+    map_tiles = {t: TileImage(ty, al) for t, ty, al in zip(
+        cx.tiles, tcols["type_cell"], tcols["type_align"])}
     return SubdivisionRule(
         name=f"{rule.name}:power{k}",
         level0=rule.level0, level1=hi.complex,
-        carrier_vertices=carrier_vertices, carrier_edges=carrier_edges,
+        carrier_vertices=carrier["vertex"], carrier_edges=carrier["edge"],
         carrier_tiles=carrier_tiles, map_vertices=map_vertices,
         map_edges=map_edges, map_tiles=map_tiles,
         metadata={**rule.metadata, "power_of": rule.name, "power": k})

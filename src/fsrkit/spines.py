@@ -620,12 +620,14 @@ def spine_type_signature(rule: SubdivisionRule, n: int) -> tuple:
     lv = Tower.of(rule).up_to(n)
     dual = dual_skeleton(lv.complex)
 
+    ttype = lv.by_id("tile", "type_cell")
+    etype = lv.by_id("edge", "type_cell")
     comps = []
     for comp in spine.components:
-        node_labels = {t: (lv.tinfo[t].type_cell,) for t in comp.tiles}
+        node_labels = {t: (ttype[t],) for t in comp.tiles}
         edges = [(dual.dart_tile[(e, PLUS)], dual.dart_tile[(e, MINUS)],
-                  (lv.einfo[e].type_cell,)) for e in comp.full_edges]
-        halves = [(dual.dart_tile[d], (lv.einfo[d[0]].type_cell,))
+                  (etype[e],)) for e in comp.full_edges]
+        halves = [(dual.dart_tile[d], (etype[d[0]],))
                   for d in comp.half_ends]
         comps.append(_component_canonical(node_labels, edges, halves))
     return tuple(sorted(comps))

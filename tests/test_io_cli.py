@@ -266,6 +266,27 @@ def test_cli_multicurve_and_energy(tmp_path):
     assert eb["certified"] is True
 
 
+@pytest.mark.parametrize("extra", [(), ("--K", "16")])
+def test_cli_energy_text_and_json(extra):
+    # the text form lists the fields of the JSON data, one per line, as
+    # every other command does; the JSON form is the canonical document
+    code, text = run_cli("energy", "power_spider_2", "--p", "2", *extra)
+    assert code == 0
+    code, out = run_cli("--json", "energy", "power_spider_2", "--p", "2",
+                        *extra)
+    assert code == 0
+    data = json.loads(out)
+    assert out == canonical_json(data)
+    lines = text.splitlines()
+    assert "Bound(" not in text and "Report(" not in text
+    assert lines[0] == "p: 2.0"
+    assert {ln.split(":")[0] for ln in lines if not ln.startswith(" ")} == (
+        set(data))
+    assert "certified: True" in lines
+    if extra:
+        assert "  K: 16" in lines
+
+
 def test_cli_render(tmp_path):
     out = tmp_path / "fig.svg"
     code, _ = run_cli("render", "square_spider_julia", "--level", "1",

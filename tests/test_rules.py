@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -23,9 +25,7 @@ from fsrkit.errors import BudgetExceeded, ValidationFailure
 from fsrkit.quotients import normalize_for_energy
 from fsrkit.report import analyze
 from fsrkit.rules import (
-    CellInfo,
     EdgeImage,
-    LeveledComplex,
     Tower,
     classify_vertices,
     power,
@@ -95,8 +95,7 @@ def test_subdivide_levels_doubling():
         assert rep.ok, f"level {n}: {rep.summary()}"
         assert len(lv.complex.tiles) == 2 ** n
         # tile type counts: d^n tiles of type t
-        types = [info.type_cell for info in lv.tinfo.values()]
-        assert types.count("t") == 2 ** n
+        assert lv.columns["tile"]["type_cell"].count("t") == 2 ** n
 
 
 def test_type_transport_invariant():
@@ -105,15 +104,71 @@ def test_type_transport_invariant():
         tower = Tower.build(rule)
         for n in range(1, 4):
             lv = tower.up_to(n)
-            cx = lv.complex
-            for t, walk in cx.tiles.items():
-                ttype, k = lv.tile_type(t)
-                w0 = rule.level0.tiles[ttype]
+            ttype = lv.by_id("tile", "type_cell")
+            talign = lv.by_id("tile", "type_align")
+            etype = lv.by_id("edge", "type_cell")
+            eorient = lv.by_id("edge", "type_orient")
+            for t, walk in lv.complex.tiles.items():
+                w0 = rule.level0.tiles[ttype[t]]
+                k = talign[t]
                 assert len(walk) == len(w0)
                 for i, (e, s) in enumerate(walk):
-                    etype, orient = lv.edge_type(e)
-                    assert (etype, s * orient) == w0[(i + k) % len(w0)], (
-                        rule.name, n, t, i)
+                    assert (etype[e], s * eorient[e]) == (
+                        w0[(i + k) % len(w0)]), (rule.name, n, t, i)
+
+
+class Cell(NamedTuple):
+    """One cell of an oracle level, as a record."""
+    kind: str
+    parent: str | None = None
+    parent_kind: str | None = None
+    type_cell: str = ""
+    type_orient: int = PLUS
+    type_align: int = 0
+    fimage: str | None = None
+    fimage_orient: int = PLUS
+    fimage_align: int = 0
+    rel_orient: int = PLUS
+
+
+class OracleLevel(NamedTuple):
+    complex: SphereComplex
+    level: int
+    vinfo: dict
+    einfo: dict
+    tinfo: dict
+
+
+def levels_zero_one_oracle(rule, index):
+    """Reference levels 0 and 1, one record per cell, read off the rule."""
+    c0, c1 = rule.level0, rule.level1
+    zero = OracleLevel(c0, 0,
+                       {v: Cell("vertex", type_cell=v) for v in c0.vertices},
+                       {e: Cell("edge", type_cell=e) for e in c0.edges},
+                       {t: Cell("tile", type_cell=t) for t in c0.tiles})
+    vinfo, einfo, tinfo = {}, {}, {}
+    for v1 in c1.vertices:
+        kind, ref = rule.carrier_vertices[v1]
+        vinfo[v1] = Cell("vertex", parent=ref, parent_kind=kind,
+                         type_cell=rule.map_vertices[v1],
+                         fimage=rule.map_vertices[v1])
+    for e1 in c1.edges:
+        kind, ref = rule.carrier_edges[e1]
+        img = rule.map_edges[e1]
+        rel = PLUS
+        if kind == "edge":
+            rel = next(s for (eid, s) in index.path[ref] if eid == e1)
+        einfo[e1] = Cell("edge", parent=ref, parent_kind=kind,
+                         type_cell=img.edge, type_orient=img.orient,
+                         fimage=img.edge, fimage_orient=img.orient,
+                         rel_orient=rel)
+    for t1 in c1.tiles:
+        img = rule.map_tiles[t1]
+        tinfo[t1] = Cell("tile", parent=rule.carrier_tiles[t1],
+                         parent_kind="tile", type_cell=img.tile,
+                         type_align=img.align, fimage=img.tile,
+                         fimage_align=img.align)
+    return zero, OracleLevel(c1, 1, vinfo, einfo, tinfo)
 
 
 def subdivide_once_oracle(rule, index, lv):
@@ -132,8 +187,8 @@ def subdivide_once_oracle(rule, index, lv):
 
     for v, info in lv.vinfo.items():
         fim = info.fimage if lv.level > 1 else index.vertex_copy[info.fimage]
-        new_vinfo[v] = CellInfo("vertex", parent=v, parent_kind="vertex",
-                                type_cell=f0[info.type_cell], fimage=fim)
+        new_vinfo[v] = Cell("vertex", parent=v, parent_kind="vertex",
+                            type_cell=f0[info.type_cell], fimage=fim)
 
     def cv(parent, w1):
         return f"{parent}/v.{w1}"
@@ -162,7 +217,7 @@ def subdivide_once_oracle(rule, index, lv):
 
         for w1 in index.path_interior[etype]:
             vid = cv(e, w1)
-            new_vinfo[vid] = CellInfo(
+            new_vinfo[vid] = Cell(
                 "vertex", parent=e, parent_kind="edge",
                 type_cell=rule.map_vertices[w1],
                 fimage=cv(fim, w1) if lv.level > 1 else w1)
@@ -173,7 +228,7 @@ def subdivide_once_oracle(rule, index, lv):
                 a, b = b, a
             new_edges[eid] = (a, b)
             img = rule.map_edges[e1]
-            new_einfo[eid] = CellInfo(
+            new_einfo[eid] = Cell(
                 "edge", parent=e, parent_kind="edge",
                 type_cell=img.edge, type_orient=img.orient,
                 fimage=ce(fim, e1) if lv.level > 1 else e1,
@@ -210,7 +265,7 @@ def subdivide_once_oracle(rule, index, lv):
 
         for w1 in index.interior_vertices[ttype]:
             vid = cv(t, w1)
-            new_vinfo[vid] = CellInfo(
+            new_vinfo[vid] = Cell(
                 "vertex", parent=t, parent_kind="tile",
                 type_cell=rule.map_vertices[w1],
                 fimage=cv(fim, w1) if lv.level > 1 else w1)
@@ -220,7 +275,7 @@ def subdivide_once_oracle(rule, index, lv):
             new_edges[eid] = (resolve_in_tile(a, (e1, PLUS)),
                               resolve_in_tile(b, (e1, MINUS)))
             img = rule.map_edges[e1]
-            new_einfo[eid] = CellInfo(
+            new_einfo[eid] = Cell(
                 "edge", parent=t, parent_kind="tile",
                 type_cell=img.edge, type_orient=img.orient,
                 fimage=ce(fim, e1) if lv.level > 1 else e1)
@@ -237,13 +292,13 @@ def subdivide_once_oracle(rule, index, lv):
                     darts.append((ce(host, x), dr))
             new_tiles[tid] = tuple(darts)
             img = rule.map_tiles[t1]
-            new_tinfo[tid] = CellInfo(
+            new_tinfo[tid] = Cell(
                 "tile", parent=t, parent_kind="tile",
                 type_cell=img.tile, type_align=img.align,
                 fimage=ct(fim, t1) if lv.level > 1 else t1)
 
     cx = SphereComplex(tuple(new_vinfo), new_edges, new_tiles, c.marked)
-    return LeveledComplex(cx, lv.level + 1, new_vinfo, new_einfo, new_tinfo)
+    return OracleLevel(cx, lv.level + 1, new_vinfo, new_einfo, new_tinfo)
 
 
 def _oracle_cases():
@@ -262,24 +317,45 @@ def _oracle_cases():
     yield "levy_pillow_pc:normalized", normalize_for_energy(pillow).rule
 
 
+def assert_columns_match(got, want, where):
+    """Every column of a tower level equals the oracle's records, in the
+    complex's cell order; a record field without a column is the image
+    orientation or alignment (the type's at level 1, else PLUS and 0) or
+    keeps its default for that kind."""
+    assert got.level == want.level, where
+    assert got.complex.vertices == want.complex.vertices, where
+    assert got.complex.marked == want.complex.marked, where
+    for kind in ("edges", "tiles"):
+        assert (list(getattr(got.complex, kind).items())
+                == list(getattr(want.complex, kind).items())), where
+    for kind, recs in (("vertex", want.vinfo), ("edge", want.einfo),
+                       ("tile", want.tinfo)):
+        cols = got.columns[kind]
+        assert list(got.ids(kind)) == list(recs), (where, kind)
+        derived = ({"fimage_orient": cols.get("type_orient"),
+                    "fimage_align": cols.get("type_align")}
+                   if got.level == 1 else {})
+        for name in Cell._fields[1:]:
+            values = [getattr(r, name) for r in recs.values()]
+            if name in cols:
+                expect = cols[name]
+            elif derived.get(name) is not None:
+                expect = derived[name]
+            else:
+                expect = [Cell._field_defaults[name]] * len(values)
+            assert values == expect, (where, kind, name)
+
+
 def test_tower_matches_oracle():
     for label, rule in _oracle_cases():
         top = 4 if validate_rule(rule).notes["degree"] > 2 else 8
         tower = Tower.build(rule)
-        want = tower.up_to(1)
-        for n in range(2, top + 1):
-            got = tower.up_to(n)
-            want = subdivide_once_oracle(rule, tower.index, want)
-            where = f"{label} level {n}"
-            assert got.level == want.level == n, where
-            assert got.complex.vertices == want.complex.vertices, where
-            assert got.complex.marked == want.complex.marked, where
-            for kind in ("edges", "tiles"):
-                assert (list(getattr(got.complex, kind).items())
-                        == list(getattr(want.complex, kind).items())), where
-            for kind in ("vinfo", "einfo", "tinfo"):
-                assert (list(getattr(got, kind).items())
-                        == list(getattr(want, kind).items())), where
+        zero, want = levels_zero_one_oracle(rule, tower.index)
+        assert_columns_match(tower.up_to(0), zero, f"{label} level 0")
+        for n in range(1, top + 1):
+            if n > 1:
+                want = subdivide_once_oracle(rule, tower.index, want)
+            assert_columns_match(tower.up_to(n), want, f"{label} level {n}")
 
 
 def test_classify_vertices_power_spider():
@@ -382,6 +458,24 @@ def test_classification_stable_under_shift():
 def test_budget_enforced():
     with pytest.raises(BudgetExceeded):
         subdivide(doubling_edge(), 12, budget=100)
+
+
+def test_budget_checked_before_the_gather():
+    # level 6 of the degree-4 tripod holds 32,770 cells; the templates give
+    # that count before any of them is built
+    tower = Tower.build(get_rule("tripod_pillow_4"), budget=10_000)
+    tower.up_to(5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as exc:
+            tower.up_to(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "level 6 needs 32770 cells (budget 10000)"
+    assert exc.value.reached == 5
+    assert len(tower.levels) == 6
+    assert peak < 100_000       # the level would take megabytes
 
 
 def test_analyze_builds_each_index_once(monkeypatch):
