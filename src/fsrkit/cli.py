@@ -304,9 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--budget", type=int, default=DEFAULT_CELL_BUDGET,
                     help="cell-count budget for subdivision (and for the "
                          "per-level subedge counts of energy)")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized search order (results do not "
-                         "depend on it)")
     ap.add_argument("--json", action="store_true",
                     help="emit canonical JSON")
     sub = ap.add_subparsers(dest="command", required=True)

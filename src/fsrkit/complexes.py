@@ -8,7 +8,9 @@ dart of the complex occurs in exactly one walk.
 
 The dual 1-skeleton is represented on the same dart set: the dual dart
 crossing a primal dart ``d`` (from the tile right of ``d`` to the tile left
-of ``d``) is keyed by ``d`` itself.
+of ``d``) is keyed by ``d`` itself.  The dual faces are the rotation orbits
+of the darts out of each primal vertex (the orbits of ``rotation_ccw``), so
+the dual needs no tables beyond the tile of each dart.
 """
 
 from __future__ import annotations
@@ -256,19 +258,18 @@ def euler_characteristic(cx: SphereComplex) -> int:
 
 @dataclass(frozen=True)
 class DualSkeleton:
-    """Dual 1-skeleton with rotation system, on the primal dart set.
+    """Dual 1-skeleton, read off the primal complex on the same dart set.
 
     The dual dart keyed by primal dart ``d`` crosses ``d`` from the tile on
     its right to the tile on its left.  Dual vertices are tiles; the dual
     edge of primal edge ``e`` carries the two dual darts ``(e, +)``/``(e, -)``.
-    Faces of the dual are in bijection with primal vertices.
+    The rotation at a dual vertex is its tile's walk, so the dual faces are
+    the rotation orbits of the primal vertices: the face of dual dart ``d``
+    is ``tail(d)``, see ``face``.
     """
 
     complex: SphereComplex
     dart_tile: dict[Dart, str]                  # primal dart -> tile on its left
-    rotation: dict[str, tuple[Dart, ...]]       # tile -> ccw out-dart keys
-    face_of_dart: dict[Dart, int]               # dual dart -> face index
-    face_vertex: tuple[str, ...]                # face index -> primal vertex
 
     def dual_tail(self, d: Dart) -> str:
         """Tile at the tail of the dual dart keyed by d."""
@@ -277,70 +278,32 @@ class DualSkeleton:
     def dual_head(self, d: Dart) -> str:
         return self.dart_tile[d]
 
-    def num_dual_vertices(self) -> int:
-        return len(self.complex.tiles)
+    def face(self, v: str) -> tuple[Dart, ...]:
+        """The dual face at primal vertex v: the darts out of v in ccw order,
+        from the least one; as dual darts, a closed walk around v."""
+        cx = self.complex
+        start = min(d for d in self.dart_tile if cx.tail(d) == v)
+        cyc = [start]
+        d = cx.rotation_ccw(start)
+        while d != start:
+            cyc.append(d)
+            d = cx.rotation_ccw(d)
+        return tuple(cyc)
 
-    def num_dual_edges(self) -> int:
-        return len(self.complex.edges)
-
-    def num_faces(self) -> int:
-        return len(self.face_vertex)
 
 def dual_skeleton(cx: SphereComplex) -> DualSkeleton:
-    """Dualize a validated complex; faces are labeled by primal vertices."""
+    """Dualize a validated complex.
+
+    Validation already proves the duality facts: "vertex links" gives one
+    tail vertex per rotation orbit and |V| orbits, so the dual faces (the
+    orbits) are labeled by their tail vertices one-to-one; "connected" leaves
+    no isolated vertex, so every vertex labels a face; and "euler" gives
+    F - E + V = 2 for the dual, which is an embedded sphere graph."""
     m = memo(cx)
     if "dual" in m:
         return m["dual"]
     require_valid(cx)
-    loc = cx.dart_location()
-    dart_tile = {d: t for d, (t, _) in loc.items()}
-    # ccw out-darts at tile t: reversals of its walk darts, in walk order
-    rotation = {t: tuple(flip(d) for d in w) for t, w in cx.tiles.items()}
-
-    rot_index = {t: {d: i for i, d in enumerate(r)} for t, r in rotation.items()}
-
-    def face_next(d: Dart) -> Dart:
-        # face-on-left traversal: clockwise-previous out-dart of the reversal
-        rd = flip(d)
-        t = dart_tile[flip(rd)]  # tail tile of dual dart rd
-        r = rotation[t]
-        i = rot_index[t][rd]
-        return r[(i - 1) % len(r)]
-
-    face_of: dict[Dart, int] = {}
-    labels: list[str] = []
-    for d0 in sorted(loc):
-        if d0 in face_of:
-            continue
-        idx = len(labels)
-        label = None
-        d = d0
-        while True:
-            face_of[d] = idx
-            e, s = d
-            t, h = cx.edges[e]
-            v = t if s > 0 else h  # primal vertex left of the dual dart
-            if label is None:
-                label = v
-            elif label != v:
-                raise ValidationFailure(
-                    f"dual face mixes primal vertices {label} and {v}",
-                    check="duality")
-            d = face_next(d)
-            if d == d0:
-                break
-        labels.append(label)
-
-    if len(labels) != len(cx.vertices):
-        raise ValidationFailure(
-            f"dual has {len(labels)} faces for {len(cx.vertices)} vertices",
-            check="duality")
-    if len(cx.tiles) - len(cx.edges) + len(labels) != 2:
-        raise ValidationFailure("embedded dual is not a sphere", check="duality")
-    if sorted(labels) != sorted(cx.vertices):
-        raise ValidationFailure("dual faces do not match primal vertices",
-                                check="duality")
-    dual = DualSkeleton(cx, dart_tile, rotation, face_of, tuple(labels))
+    dual = DualSkeleton(cx, {d: t for d, (t, _) in cx.dart_location().items()})
     m["dual"] = dual
     return dual
 
@@ -408,20 +371,19 @@ def is_embedded_closed_walk(dual: DualSkeleton, c: CombinatorialCurve) -> bool:
     if len(set(eids)) != len(eids):
         return False
     n = len(c.darts)
-    rot_index = {t: {d: i for i, d in enumerate(r)}
-                 for t, r in dual.rotation.items()}
-    # transition chord at each visit: (arriving end slot, leaving end slot)
+    loc = dual.complex.dart_location()
+    # transition chord at each visit of a dual vertex t, in walk positions
+    # of tile t: the arriving dart lies on t's walk, and so does the reversal
+    # of the leaving dart
     chords: dict[str, list[tuple[int, int]]] = {}
     for i in range(n):
         arriving = c.darts[i]
         leaving = c.darts[(i + 1) % n]
-        t = dual.dual_head(arriving)
-        # arriving dual dart occupies the slot of its reversal's key
-        slot_in = rot_index[t][flip(arriving)]
-        slot_out = rot_index[t][leaving]
+        t, slot_in = loc[arriving]
+        slot_out = loc[flip(leaving)][1]
         chords.setdefault(t, []).append((slot_in, slot_out))
     for t, chs in chords.items():
-        m = len(dual.rotation[t])
+        m = len(dual.complex.tiles[t])
         for i in range(len(chs)):
             for j in range(i + 1, len(chs)):
                 if _chords_cross(chs[i], chs[j], m):
@@ -446,18 +408,15 @@ def enclosed_markings(cx: SphereComplex, c: CombinatorialCurve,
                                 check="curve")
     wall_edges = set(c.edge_ids())
 
-    # face adjacency across non-curve dual edges
-    nfaces = dual.num_faces()
-    adj: list[set[int]] = [set() for _ in range(nfaces)]
-    for e in cx.edges:
-        if e in wall_edges:
-            continue
-        f1 = dual.face_of_dart[(e, PLUS)]
-        f2 = dual.face_of_dart[(e, MINUS)]
-        adj[f1].add(f2)
-        adj[f2].add(f1)
+    # the face of dual dart d is tail(d): faces are primal vertices, adjacent
+    # across the non-curve edges
+    adj: dict[str, set[str]] = {v: set() for v in cx.vertices}
+    for e, (t, h) in cx.edges.items():
+        if e not in wall_edges:
+            adj[t].add(h)
+            adj[h].add(t)
 
-    def bfs(starts: set[int]) -> set[int]:
+    def bfs(starts: set[str]) -> set[str]:
         seen = set(starts)
         stack = list(starts)
         while stack:
@@ -467,15 +426,11 @@ def enclosed_markings(cx: SphereComplex, c: CombinatorialCurve,
                     stack.append(g)
         return seen
 
-    left_seed = {dual.face_of_dart[d] for d in c.darts}
-    right_seed = {dual.face_of_dart[flip(d)] for d in c.darts}
-    left = bfs(left_seed)
-    right = bfs(right_seed)
-    if left & right or len(left) + len(right) != nfaces:
+    left = bfs({cx.tail(d) for d in c.darts})
+    right = bfs({cx.head(d) for d in c.darts})
+    if left & right or len(left) + len(right) != len(cx.vertices):
         raise ValidationFailure("curve does not separate the sphere into two sides",
                                 check="curve")
 
     pool = set(cx.vertices) if count_all_vertices else set(cx.marked)
-    lv = tuple(sorted(v for i in left if (v := dual.face_vertex[i]) in pool))
-    rv = tuple(sorted(v for i in right if (v := dual.face_vertex[i]) in pool))
-    return lv, rv
+    return tuple(sorted(left & pool)), tuple(sorted(right & pool))

@@ -790,23 +790,7 @@ def _retraction(ctx: _CertificateContext, alpha: dict[str, int], p: float
 def _peripheral_complement(dual0, v: str, e_long: str) -> list[Dart]:
     """The dual-face cycle around v minus the removed dual edge: a path
     between the two ends of the removed edge, in face-cycle order."""
-    face_idx = dual0.face_vertex.index(v)
-    orbit = [d for d, i in dual0.face_of_dart.items() if i == face_idx]
-    rot_index = {t: {d: i for i, d in enumerate(r)}
-                 for t, r in dual0.rotation.items()}
-
-    def face_next(d: Dart) -> Dart:
-        rd = flip(d)
-        t = dual0.dart_tile[flip(rd)]
-        r = dual0.rotation[t]
-        return r[(rot_index[t][rd] - 1) % len(r)]
-
-    start = min(orbit)
-    cyc = [start]
-    cur = face_next(start)
-    while cur != start:
-        cyc.append(cur)
-        cur = face_next(cur)
+    cyc = list(dual0.face(v))
     k = next(i for i, d in enumerate(cyc) if d[0] == e_long)
     return cyc[k + 1:] + cyc[:k]
 

@@ -353,13 +353,11 @@ def quotient_rule(rule: SubdivisionRule, x: CollapsibleSubcomplex
         if f"v:{img}" in q0)
     comps1 = _subcomplex_components(c1, x1_edges, x1_tiles, x1_extra_verts)
     q1: dict[str, str] = {}
-    comp_of_cell1: dict[str, tuple] = {}
     for comp in comps1:
         q = "p(" + min(c[2:] for c in comp["cells"]) + ")"
         for kind in ("vertices", "edges", "tiles"):
             for cid in comp[kind]:
                 q1[f"{kind[0]}:{cid}"] = q
-                comp_of_cell1[f"{kind[0]}:{cid}"] = comp["cells"]
 
     def v1new(v: str) -> str:
         return q1.get(f"v:{v}", v)
@@ -480,14 +478,12 @@ def quotient_rule(rule: SubdivisionRule, x: CollapsibleSubcomplex
         carrier_tiles[t] = ref
         img = rule.map_tiles[t]
         # realign: surviving positions correspond bijectively
-        old_walk = c1.tiles[t]
         img_walk = c0.tiles[img.tile]
         keep_src = old_pruned_walk[t]
         keep_img = [j for j, d in enumerate(img_walk) if d[0] not in x.edges]
         i0 = keep_src[0]
         j0 = (i0 + img.align) % len(img_walk)
-        new_align = (keep_img.index(j0) - 0) % len(keep_img)
-        map_tiles[t] = TileImage(img.tile, new_align)
+        map_tiles[t] = TileImage(img.tile, keep_img.index(j0))
 
     new_rule = SubdivisionRule(
         name=f"{rule.name}/quotient",
@@ -518,10 +514,11 @@ def quotient_rule(rule: SubdivisionRule, x: CollapsibleSubcomplex
 # ---------------------------------------------------------------------------
 
 
-def edge_level_darts(tower: Tower, e0: str, level: int) -> list[Dart]:
-    """Ordered level-n darts along a level-0 edge, tail to head."""
-    darts: list[Dart] = [(e0, PLUS)]
-    for j in range(level):
+def edge_level_darts(tower: Tower, e: str, level: int, start: int = 0
+                     ) -> list[Dart]:
+    """Ordered level-n darts along a level-``start`` edge, tail to head."""
+    darts: list[Dart] = [(e, PLUS)]
+    for j in range(start, level):
         lv = tower.up_to(j)
         out: list[Dart] = []
         types = lv.by_id("edge", "type_cell")
@@ -541,10 +538,12 @@ def edge_level_darts(tower: Tower, e0: str, level: int) -> list[Dart]:
     return darts
 
 
-def vertex_sequence_on_edge(tower: Tower, e0: str, level: int) -> list[str]:
-    """Level-n vertices along a level-0 edge in order, endpoints included."""
+def vertex_sequence_on_edge(tower: Tower, e: str, level: int, start: int = 0
+                            ) -> list[str]:
+    """Level-n vertices along a level-``start`` edge in order, endpoints
+    included."""
     lv = tower.up_to(level)
-    darts = edge_level_darts(tower, e0, level)
+    darts = edge_level_darts(tower, e, level, start)
     seq = [lv.complex.tail(d) for d in darts]
     seq.append(lv.complex.head(darts[-1]))
     return seq
@@ -646,7 +645,7 @@ def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]]
                 f"preimage point {vid} hosted by a vertex")
     order_level = max([level_max + 1] + [l for l in w_points.values()])
     for e1 in split1:
-        seq = _vertex_sequence_on_level1_edge(tower, e1, order_level)
+        seq = vertex_sequence_on_edge(tower, e1, order_level, start=1)
         pos = {v: i for i, v in enumerate(seq)}
         missing = [v for v in split1[e1] if v not in pos]
         if missing:
@@ -742,7 +741,6 @@ def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]]
             map_vertices[vid] = tower.up_to(bl).by_id("vertex", "fimage")[vid]
 
     seg_by_ends: dict[str, dict[frozenset, str]] = {}
-    seg_order: dict[str, list[tuple[str, str, str]]] = seg0
     for e0, segs in seg0.items():
         seg_by_ends[e0] = {}
         for (sid, t, h) in segs:
@@ -765,14 +763,8 @@ def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]]
 
     map_tiles: dict[str, TileImage] = {}
     for t1, img in rule.map_tiles.items():
-        old_walk = c1.tiles[t1]
         img_walk = c0.tiles[img.tile]
-        # expansion offset tables
-        src_starts = []
-        acc = 0
-        for d in old_walk:
-            src_starts.append(acc)
-            acc += len(seg1[d[0]])
+        # expansion offset table
         img_starts = []
         acc = 0
         for d in img_walk:
@@ -795,31 +787,6 @@ def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]]
         raise InternalInconsistency(
             f"vertex-orbit refinement broke the rule: {rep.summary()}")
     return new_rule
-
-
-def _vertex_sequence_on_level1_edge(tower: Tower, e1: str, level: int
-                                    ) -> list[str]:
-    """Ordered level-n vertices along a level-1 edge."""
-    lv1 = tower.up_to(1)
-    darts: list[Dart] = [(e1, PLUS)]
-    for j in range(1, level):
-        lv = tower.up_to(j)
-        out: list[Dart] = []
-        types = lv.by_id("edge", "type_cell")
-        orients = lv.by_id("edge", "type_orient")
-        for (eid, direction) in darts:
-            path = tower.index.path[types[eid]]
-            run = [(f"{eid}/e.{x}", d) for (x, d) in path]
-            if orients[eid] == MINUS:
-                run = [flip(d2) for d2 in reversed(run)]
-            if direction == MINUS:
-                run = [flip(d2) for d2 in reversed(run)]
-            out.extend(run)
-        darts = out
-    lvn = tower.up_to(max(level, 1))
-    seq = [lvn.complex.tail(d) for d in darts]
-    seq.append(lvn.complex.head(darts[-1]))
-    return seq
 
 
 def _seg_host(tower, rule, c0, seg0, split0, ref, sid, t, h,

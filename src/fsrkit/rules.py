@@ -641,11 +641,25 @@ def _templates(rule: SubdivisionRule, index: RuleIndex
     return m["templates"]
 
 
+def _cells(cx: SphereComplex) -> int:
+    return len(cx.vertices) + len(cx.edges) + len(cx.tiles)
+
+
+def _check_budget(level: int, total: int, budget: int) -> None:
+    """Refuse a level of ``total`` cells over the budget; ``reached`` is the
+    last level within it (None for level 0)."""
+    if total > budget:
+        raise BudgetExceeded(
+            f"level {level} needs {total} cells (budget {budget})",
+            reached=level - 1 if level else None)
+
+
 def subdivide_once(rule: SubdivisionRule, index: RuleIndex, lv: LeveledComplex,
                    budget: int = DEFAULT_CELL_BUDGET) -> LeveledComplex:
     """One pullback step: copy each cell's type pattern through its alignment
     and append the children's columns."""
     if lv.level == 0:
+        _check_budget(1, _cells(rule.level1), budget)
         return level_one(rule, index)
     c = lv.complex
     edges = c.edges
@@ -653,14 +667,10 @@ def subdivide_once(rule: SubdivisionRule, index: RuleIndex, lv: LeveledComplex,
     vcols, ecols, tcols = (lv.columns[k] for k in ("vertex", "edge", "tile"))
     # the size of the next level, checked before any of it is built: the
     # vertices persist, and each edge and tile adds its type's template cells
-    total = len(c.vertices) + sum(
+    _check_budget(lv.level + 1, len(c.vertices) + sum(
         n * sum(map(len, tpl[ty]))
         for tpl, cols in ((edge_tpl, ecols), (tile_tpl, tcols))
-        for ty, n in Counter(cols["type_cell"]).items())
-    if total > budget:
-        raise BudgetExceeded(
-            f"level {lv.level + 1} needs {total} cells (budget {budget})",
-            reached=lv.level)
+        for ty, n in Counter(cols["type_cell"]).items()), budget)
     f0 = _vertex_dynamics(rule, index)
     deeper = lv.level > 1
 
@@ -781,6 +791,7 @@ class Tower:
               ) -> "Tower":
         """A cold tower of its own, bounded by ``budget`` cells per level."""
         index = require_valid_rule(rule)
+        _check_budget(0, _cells(rule.level0), budget)
         return cls(rule, index, [level_zero(rule)], budget)
 
     @classmethod

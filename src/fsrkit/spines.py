@@ -427,26 +427,8 @@ def peripheral_cycles(rule: SubdivisionRule, n: int
     for v in sorted(rule.level0.vertices):
         if classes.is_fatou[v] or v not in classes.periodic:
             continue
-        face_idx = dual.face_vertex.index(v)
-        orbit = [d for d, i in dual.face_of_dart.items() if i == face_idx]
-        # order the orbit into the face walk
-        start = min(orbit)
-        cyc = [start]
-        rot_index = {t: {d: i for i, d in enumerate(r)}
-                     for t, r in dual.rotation.items()}
-
-        def face_next(d: Dart) -> Dart:
-            rd = flip(d)
-            t = dual.dart_tile[flip(rd)]
-            r = dual.rotation[t]
-            i = rot_index[t][rd]
-            return r[(i - 1) % len(r)]
-
-        cur = face_next(start)
-        while cur != start:
-            cyc.append(cur)
-            cur = face_next(cur)
-        curve = CombinatorialCurve(tuple(cyc))
+        cyc = dual.face(v)
+        curve = CombinatorialCurve(cyc)
         for d in cyc:
             if d[0] not in spine.recurrent_edges:
                 raise InternalInconsistency(

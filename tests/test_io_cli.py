@@ -142,6 +142,21 @@ def test_cli_budget_exit_code():
     assert code == 4
 
 
+@pytest.mark.parametrize("budget,level,message", [
+    (5, 0, "level 0 needs 10 cells (budget 5)"),
+    (5, 1, "level 0 needs 10 cells (budget 5)"),
+    (20, 1, "level 1 needs 34 cells (budget 20)"),
+    (100, 2, "level 2 needs 130 cells (budget 100)"),
+])
+def test_cli_budget_holds_on_levels_zero_and_one(capsys, budget, level,
+                                                 message):
+    # tripod_pillow_4 has 10 cells at level 0 and 34 at level 1
+    code, out = run_cli("--budget", str(budget), "--json", "subdivide",
+                        "tripod_pillow_4", "--level", str(level))
+    assert code == 4 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_energy_level_past_float_range_exit_code(capsys):
     # 2^1024 level-1024 subedges do not fit a float
     code, out = run_cli("--json", "energy", "doubling_edge", "--p", "2",

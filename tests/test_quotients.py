@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 
 from fsrkit.catalog import (
+    CATALOG,
     doubling_edge,
     get_rule,
     levy_pillow_4,
@@ -19,6 +20,7 @@ from fsrkit.quotients import (
     CollapsibleSubcomplex,
     add_vertex_orbit,
     collapsible_from_julia_edges,
+    edge_level_darts,
     isolate_julia_vertices,
     normalize_for_energy,
     quotient_rule,
@@ -119,6 +121,28 @@ def test_vertex_sequence_on_edge():
     assert vertex_sequence_on_edge(tower, "e", 1) == ["-2", "0", "2"]
     lvl2 = vertex_sequence_on_edge(tower, "e", 2)
     assert len(lvl2) == 5 and lvl2[0] == "-2" and lvl2[2] == "0"
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_edge_level_darts_follow_the_ancestors(name):
+    # every level-L dart of the walk along a level-start edge e lies in e,
+    # with its direction inside e, and the walk runs from e's tail to its head
+    tower = Tower.of(get_rule(name))
+    for start in (0, 1):
+        below = tower.up_to(start).complex
+        for level in range(start, 4):
+            cx = tower.up_to(level).complex
+            for e, (tail, head) in below.edges.items():
+                darts = edge_level_darts(tower, e, level, start)
+                for d in darts:
+                    assert tower.ancestor(d[0], "edge", level, start) == (
+                        "edge", e, d[1])
+                for d, nxt in zip(darts, darts[1:]):
+                    assert cx.head(d) == cx.tail(nxt)
+                assert cx.tail(darts[0]) == tail
+                assert cx.head(darts[-1]) == head
+                seq = vertex_sequence_on_edge(tower, e, level, start)
+                assert seq == [cx.tail(d) for d in darts] + [head]
 
 
 def test_add_vertex_orbit_splits_edge():

@@ -478,6 +478,21 @@ def test_budget_checked_before_the_gather():
     assert peak < 100_000       # the level would take megabytes
 
 
+def test_budget_checked_on_levels_zero_and_one():
+    rule = get_rule("tripod_pillow_4")
+    with pytest.raises(BudgetExceeded) as exc:
+        Tower.build(rule, budget=9)
+    assert str(exc.value) == "level 0 needs 10 cells (budget 9)"
+    assert exc.value.reached is None
+    tower = Tower.build(rule, budget=33)
+    with pytest.raises(BudgetExceeded) as exc:
+        tower.up_to(1)
+    assert str(exc.value) == "level 1 needs 34 cells (budget 33)"
+    assert exc.value.reached == 0
+    assert len(tower.levels) == 1
+    assert len(Tower.build(rule, budget=34).up_to(1).complex.vertices) == 10
+
+
 def test_analyze_builds_each_index_once(monkeypatch):
     built = Counter()
     keep = []       # holds every rule, so that no id is reused
