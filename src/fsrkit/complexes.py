@@ -247,10 +247,6 @@ def require_valid(cx: SphereComplex, what: str = "complex") -> None:
         raise ValidationFailure(f"{what}: {rep.summary()}", check=rep.first_failure or "")
 
 
-def euler_characteristic(cx: SphereComplex) -> int:
-    return cx.euler_characteristic()
-
-
 # ---------------------------------------------------------------------------
 # dual skeleton
 # ---------------------------------------------------------------------------
@@ -298,7 +294,11 @@ def dual_skeleton(cx: SphereComplex) -> DualSkeleton:
     tail vertex per rotation orbit and |V| orbits, so the dual faces (the
     orbits) are labeled by their tail vertices one-to-one; "connected" leaves
     no isolated vertex, so every vertex labels a face; and "euler" gives
-    F - E + V = 2 for the dual, which is an embedded sphere graph."""
+    F - E + V = 2 for the dual, which is an embedded sphere graph.
+
+    A tower level that ``rules.subdivide_once`` built is valid by
+    construction (Cannon-Floyd-Parry: R^n(S) is a CW structure on the
+    sphere) and stored as validated, so its check here is a memo hit."""
     m = memo(cx)
     if "dual" in m:
         return m["dual"]

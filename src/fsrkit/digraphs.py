@@ -238,20 +238,6 @@ def growth_class(g: DynDigraph, v: Label) -> GrowthClass:
     return GrowthClass("polynomial", c.chain[i] - 1)
 
 
-def path_count(g: DynDigraph, v: Label, n: int) -> int:
-    """Exact number of directed paths of length n from v (brute-force oracle)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    counts = {u: (1 if u == v else 0) for u in g.vertices}
-    for _ in range(n):
-        nxt = {u: 0 for u in g.vertices}
-        for a in g.arcs:
-            if counts[a.src]:
-                nxt[a.dst] += counts[a.src]
-        counts = nxt
-    return sum(counts.values())
-
-
 def recurrent_vertices(g: DynDigraph) -> set[Label]:
     c = condensation(g)
     return {v for comp, k in zip(c.sccs, c.internal) if k for v in comp}

@@ -227,9 +227,3 @@ def subedge_counts(rule: SubdivisionRule, n_max: int) -> Iterator[dict[str, int]
             nxt[a.src] += counts[a.dst]
         counts = nxt
         yield counts
-
-
-def subdivision_edge_count(rule: SubdivisionRule, e0: str, n: int) -> int:
-    """|R^n(e)|: number of level-n subedges of e (paths of length n in E)."""
-    *_, counts = subedge_counts(rule, n)
-    return counts[e0]

@@ -50,7 +50,13 @@ class SubdivisionRule:
     ``dataclasses.replace``, never by editing its dicts in place.  Validation
     (with the rule index), the edge digraph and the shared tower of
     ``Tower.of`` are memoized per rule object, so each is computed once
-    however many stages ask."""
+    however many stages ask.
+
+    Rules that ``shift`` and ``power`` build from a valid rule are valid by
+    construction (Cannon-Floyd-Parry, "Finite subdivision rules", Conform.
+    Geom. Dyn. 5, 2001: R^n(S) is a CW structure on the sphere and f^k is a
+    subdivision map).  A mark in their memo, never in ``metadata``, says so;
+    a ``dataclasses.replace`` of such a rule starts without it."""
 
     name: str
     level0: SphereComplex
@@ -302,11 +308,23 @@ def build_rule_index(rule: SubdivisionRule) -> RuleIndex:
 def validate_rule(rule: SubdivisionRule) -> ValidationReport:
     """Full structural check; on pass reports degree and critical vertices.
 
-    The report, and on pass the rule index, are memoized on the rule."""
+    A rule that ``shift`` or ``power`` built is valid by construction (see
+    ``SubdivisionRule``): it only builds its index, which gives the notes.
+    Every other rule (from a file, the catalog, a quotient or a
+    normalization) is checked in full.  The report, and on pass the rule
+    index, are memoized on the rule."""
     m = memo(rule)
     if "validated" not in m:
-        m["validated"], m["index"] = _check_rule(rule)
+        m["validated"], m["index"] = (
+            _passed(build_rule_index(rule)) if m.get("by_construction")
+            else _check_rule(rule))
     return m["validated"]
+
+
+def _passed(index: RuleIndex) -> tuple[ValidationReport, RuleIndex]:
+    critical = sorted(v1 for v1, deg in index.local_degree.items() if deg > 1)
+    return ValidationReport(True, [], notes={
+        "degree": index.degree, "critical_vertices": tuple(critical)}), index
 
 
 def _check_rule(rule: SubdivisionRule
@@ -480,11 +498,7 @@ def _check_rule(rule: SubdivisionRule
         if not {f0[v] for v in marked} <= marked:
             return fail("marked", "marked set is not forward invariant")
 
-    critical = sorted(v1 for v1, deg in index.local_degree.items() if deg > 1)
-    return ValidationReport(True, [], notes={
-        "degree": index.degree,
-        "critical_vertices": tuple(critical),
-    }), index
+    return _passed(index)
 
 
 def require_valid_rule(rule: SubdivisionRule) -> RuleIndex:
@@ -657,7 +671,11 @@ def _check_budget(level: int, total: int, budget: int) -> None:
 def subdivide_once(rule: SubdivisionRule, index: RuleIndex, lv: LeveledComplex,
                    budget: int = DEFAULT_CELL_BUDGET) -> LeveledComplex:
     """One pullback step: copy each cell's type pattern through its alignment
-    and append the children's columns."""
+    and append the children's columns.
+
+    ``rule`` is valid, so the new level R^n(S) is a CW structure on the
+    sphere (Cannon-Floyd-Parry): its complex is stored as validated, with
+    the report ``validate_complex`` gives, and is not checked again."""
     if lv.level == 0:
         _check_budget(1, _cells(rule.level1), budget)
         return level_one(rule, index)
@@ -761,6 +779,8 @@ def subdivide_once(rule: SubdivisionRule, index: RuleIndex, lv: LeveledComplex,
     n_in_tiles = len(vertices) - n_persist - n_on_edges
     n_tile_edges = len(e_parent) - n_edge_children
     cx = SphereComplex(tuple(vertices), new_edges, new_tiles, c.marked)
+    memo(cx)["validated"] = ValidationReport(True, [], notes={
+        "V": len(vertices), "E": len(new_edges), "F": len(new_tiles)})
     return LeveledComplex(cx, lv.level + 1, {
         "vertex": {"parent": v_parent,
                    "parent_kind": (["vertex"] * n_persist
@@ -906,13 +926,15 @@ def shift(rule: SubdivisionRule, k: int) -> SubdivisionRule:
     map_edges = {e: EdgeImage(f, PLUS)
                  for e, f in zip(cx.edges, ecols["fimage"])}
     map_tiles = {t: TileImage(f, 0) for t, f in zip(cx.tiles, tcols["fimage"])}
-    return SubdivisionRule(
+    derived = SubdivisionRule(
         name=f"{rule.name}:shift{k}",
         level0=lo.complex, level1=hi.complex,
         carrier_vertices=carrier_vertices, carrier_edges=carrier_edges,
         carrier_tiles=carrier_tiles, map_vertices=map_vertices,
         map_edges=map_edges, map_tiles=map_tiles,
         metadata={**rule.metadata, "shift_of": rule.name, "shift": k})
+    memo(derived)["by_construction"] = True     # see SubdivisionRule
+    return derived
 
 
 def power(rule: SubdivisionRule, k: int) -> SubdivisionRule:
@@ -939,10 +961,12 @@ def power(rule: SubdivisionRule, k: int) -> SubdivisionRule:
         cx.edges, ecols["type_cell"], ecols["type_orient"])}
     map_tiles = {t: TileImage(ty, al) for t, ty, al in zip(
         cx.tiles, tcols["type_cell"], tcols["type_align"])}
-    return SubdivisionRule(
+    derived = SubdivisionRule(
         name=f"{rule.name}:power{k}",
         level0=rule.level0, level1=hi.complex,
         carrier_vertices=carrier["vertex"], carrier_edges=carrier["edge"],
         carrier_tiles=carrier_tiles, map_vertices=map_vertices,
         map_edges=map_edges, map_tiles=map_tiles,
         metadata={**rule.metadata, "power_of": rule.name, "power": k})
+    memo(derived)["by_construction"] = True     # see SubdivisionRule
+    return derived

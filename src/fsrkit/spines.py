@@ -110,11 +110,6 @@ def recurrent_bands(rule: SubdivisionRule, n: int,
     return sorted(set(out), key=lambda b: (b[0], sorted(b[1])))
 
 
-def recurrent_cells(rule: SubdivisionRule, n: int
-                    ) -> tuple[frozenset[str], list[tuple[str, frozenset]]]:
-    return recurrent_edge_ids(rule, n), recurrent_bands(rule, n)
-
-
 # ---------------------------------------------------------------------------
 # spine assembly
 # ---------------------------------------------------------------------------

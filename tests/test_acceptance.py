@@ -19,7 +19,6 @@ from fsrkit.dynamics import (
     has_polynomial_growth,
     recurrency_periods,
     stability_threshold,
-    subdivision_edge_count,
 )
 from fsrkit.energies import (
     asymptotic_bounds,
@@ -42,6 +41,8 @@ from fsrkit.report import analyze
 from fsrkit.rules import Tower, power, subdivide, validate_rule
 from fsrkit.spines import is_levy_free, non_expanding_spine, \
     spine_type_signature
+from tests.helpers import exact_growth_oracle, remarked, \
+    subdivision_edge_count, two_edge_fixture
 
 import numpy as np
 
@@ -57,8 +58,6 @@ def verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
 # -- criterion 1: growth classifier against the exact counting oracle --------
 
 def test_criterion_1_growth_oracle():
-    from tests.test_digraphs import exact_growth_oracle
-
     t0 = time.monotonic()
     rng = random.Random(987654321)
     mismatches = []
@@ -177,8 +176,6 @@ def test_criterion_4_levy_control():
 
 def quotient_testbed():
     """Rules whose marked sets admit nontrivial collapses, plus the catalog."""
-    from tests.test_quotients import remarked
-
     rules = dict(catalog())
     rules["levy_pillow_pc"] = remarked(levy_pillow_4(), {"A", "B"})
     return rules
@@ -282,8 +279,6 @@ def test_criterion_7_energy_soundness():
                     if not levels[n + k] <= levels[n] * levels[k] + 1e-9:
                         ok = False
                         details.append(f"submult {name} p={p} n={n} k={k}")
-
-    from tests.test_energies import two_edge_fixture
 
     for p in (1.5, 2.0, 4.0):
         for k in (2, 4, 8):

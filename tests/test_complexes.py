@@ -10,7 +10,6 @@ from fsrkit.complexes import (
     SphereComplex,
     dual_skeleton,
     enclosed_markings,
-    euler_characteristic,
     flip,
     is_closed_walk,
     is_embedded_closed_walk,
@@ -18,15 +17,7 @@ from fsrkit.complexes import (
 )
 from fsrkit.errors import ValidationFailure
 from fsrkit.rules import Tower
-
-
-def bigon_sphere() -> SphereComplex:
-    return SphereComplex(
-        vertices=("v0", "vinf"),
-        edges={"e": ("v0", "vinf")},
-        tiles={"t": (("e", 1), ("e", -1))},
-        marked=frozenset({"v0", "vinf"}),
-    )
+from tests.helpers import bigon_sphere, euler_characteristic
 
 
 def tetrahedron() -> SphereComplex:

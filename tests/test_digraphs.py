@@ -23,13 +23,13 @@ from fsrkit.digraphs import (
     cycles_are_disjoint,
     growth_class,
     ideal_closure,
-    path_count,
     radical_closure,
     reachable_from,
     recurrent_vertices,
     spectral_radius,
 )
 from fsrkit.report import analyze
+from tests.helpers import exact_growth_oracle, path_count
 
 
 def g_of(n_vertices: int, arcs: list[tuple]) -> DynDigraph:
@@ -188,52 +188,6 @@ def test_arc_counts_match_adjacency_matrix():
     assert g.arc_counts() == [[0, 2, 0], [0, 0, 1], [1, 0, 1]]
     assert g.arc_counts([2, 0]) == [[1, 1], [0, 0]]
     assert g.adjacency_matrix([2, 0]).tolist() == [[1, 1], [0, 0]]
-
-
-def exact_growth_oracle(arcs: list[tuple], n_vertices: int, v: int) -> GrowthClass:
-    """Independent growth oracle from exact path counts.
-
-    Path counts of a finite digraph are eventually quasi-polynomial (when no
-    vertex meets two cycles) or exponential.  Summing counts over a window of
-    length lcm(1..8) = 840 turns any quasi-polynomial of degree d and period
-    dividing 840 into a true degree-d polynomial, whose degree is read off
-    from exact finite differences.  Counts are reduced mod two fixed 61-bit
-    primes; a genuinely zero difference stays zero, so the polynomial degree
-    is exact, and exponential counts never fit any degree <= 8.
-    """
-    window = 840  # lcm(1..8); covers every cycle period on <= 8 vertices
-    n0 = 24       # past any transient (numerator degree <= #arcs <= 16)
-    samples = 12
-    primes = (2305843009213693951, 1152921504606846883)
-    horizon = n0 + samples + window
-
-    degrees = []
-    for p in primes:
-        counts = {u: (1 if u == v else 0) for u in range(n_vertices)}
-        series = [sum(counts.values()) % p]
-        for _ in range(horizon):
-            nxt = {u: 0 for u in range(n_vertices)}
-            for a, b in arcs:
-                if counts[a]:
-                    nxt[b] = (nxt[b] + counts[a]) % p
-            counts = nxt
-            series.append(sum(counts.values()) % p)
-        window_sums = [sum(series[n0 + m: n0 + m + window]) % p
-                       for m in range(samples)]
-        seq = window_sums
-        degree = None
-        for level in range(0, 10):
-            if all(x == 0 for x in seq) and len(seq) >= 2:
-                degree = level - 1
-                break
-            seq = [(seq[i + 1] - seq[i]) % p for i in range(len(seq) - 1)]
-        degrees.append(degree)
-
-    if degrees[0] != degrees[1]:
-        raise AssertionError(f"oracle primes disagree: {degrees}")
-    if degrees[0] is None:
-        return GrowthClass("exponential")
-    return GrowthClass("polynomial", degrees[0])
 
 
 def test_growth_class_matches_exact_counts_random():

@@ -14,9 +14,9 @@ from fsrkit.dynamics import (
     has_polynomial_growth,
     recurrency_periods,
     stability_threshold,
-    subdivision_edge_count,
 )
 from fsrkit.errors import UnsupportedRegime
+from tests.helpers import subdivision_edge_count
 
 
 def test_power_spider_edge_digraph():

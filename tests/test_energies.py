@@ -13,7 +13,6 @@ import pytest
 from fsrkit import energies
 from fsrkit.catalog import CATALOG, get_rule, power_spider_2
 from fsrkit.complexes import PLUS, dual_skeleton, flip
-from fsrkit.digraphs import path_count
 from fsrkit.dynamics import build_edge_digraph
 from fsrkit.energies import (
     DEFAULT_K_GRID,
@@ -38,16 +37,7 @@ from fsrkit.errors import FsrError, InternalInconsistency, ValidationFailure
 from fsrkit.multicurves import Lift, MulticurveSpec
 from fsrkit.report import P_SAMPLES, analyze
 from fsrkit.rules import power, shift
-
-
-def two_edge_fixture(k: int, p: float) -> PLGraphMap:
-    """Two edges of lengths 1 and k mapped onto one edge of length 1."""
-    dom = ConformalGraph(("a", "b"), {"e1": ("a", "b"), "e2": ("a", "b")},
-                         p, {"e1": Fraction(1), "e2": Fraction(k)})
-    cod = ConformalGraph(("x", "y"), {"f": ("x", "y")}, p,
-                         {"f": Fraction(1)})
-    return PLGraphMap(dom, cod, {"a": "x", "b": "y"},
-                      {"e1": Onto("f", 1), "e2": Onto("f", 1)})
+from tests.helpers import path_count, two_edge_fixture
 
 
 def test_fill_closed_form():

@@ -25,7 +25,8 @@ from fsrkit.io import (
 from fsrkit.multicurves import Lift, MulticurveSpec
 from fsrkit.render import render_complex, render_rule_level
 from fsrkit.report import analyze
-from fsrkit.rules import Tower, classify_vertices, validate_rule
+from fsrkit.rules import Tower, classify_vertices, power, validate_rule
+from tests.helpers import bigon_sphere, remarked
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -82,8 +83,6 @@ def test_analyze_exponential_regime_sections():
 
 
 def test_render_bigon_and_levels():
-    from tests.test_complexes import bigon_sphere
-
     svg = render_complex(bigon_sphere())
     assert svg.startswith("<?xml") and "</svg>" in svg
     rule = get_rule("power_spider_2")
@@ -120,6 +119,22 @@ def run_cli(*argv) -> tuple[int, str]:
 def test_cli_validate_ok():
     code, out = run_cli("validate", "power_spider_2")
     assert code == 0 and "pass" in out
+
+
+def test_cli_validate_exported_power_gives_the_stored_notes(tmp_path):
+    # the exported rule is read as input and checked in full
+    for name in sorted(CATALOG):
+        pw = power(get_rule(name), 2)
+        stored = validate_rule(pw)
+        path = tmp_path / f"{name}.json"
+        save_rule(pw, str(path))
+        code, out = run_cli("--json", "validate", str(path))
+        got = json.loads(out)
+        assert code == 0, name
+        assert got["result"] == stored.summary(), name
+        assert got["degree"] == stored.notes["degree"], name
+        assert (got["critical_vertices"]
+                == list(stored.notes["critical_vertices"])), name
 
 
 def test_cli_validate_failure_exit_code(tmp_path):
@@ -247,10 +262,7 @@ def test_cli_subdivide_and_report_json(tmp_path):
 
 def test_cli_quotient_normalize(tmp_path):
     # explicit quotient by an edge set on the Levy pillow marked at {A, B}
-    import dataclasses
-
     from fsrkit.catalog import levy_pillow_4
-    from tests.test_quotients import remarked
 
     rule = remarked(levy_pillow_4(), {"A", "B"})
     path = tmp_path / "pillow.json"

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from fsrkit.catalog import (
@@ -28,14 +26,7 @@ from fsrkit.quotients import (
     vertex_sequence_on_edge,
 )
 from fsrkit.rules import Tower, classify_vertices, validate_rule
-
-
-def remarked(rule, marked):
-    return dataclasses.replace(
-        rule,
-        level0=dataclasses.replace(rule.level0, marked=frozenset(marked)),
-        level1=dataclasses.replace(rule.level1, marked=frozenset(marked)),
-    )
+from tests.helpers import remarked
 
 
 def levy_pillow_postcritical():

@@ -21,7 +21,8 @@ from fsrkit.catalog import (
 )
 from fsrkit.complexes import MINUS, PLUS, SphereComplex, validate_complex
 from fsrkit.dynamics import julia_edges, julia_tiles
-from fsrkit.errors import BudgetExceeded, ValidationFailure
+from fsrkit.energies import _certificate_context
+from fsrkit.errors import BudgetExceeded, FsrError, ValidationFailure
 from fsrkit.quotients import normalize_for_energy
 from fsrkit.report import analyze
 from fsrkit.rules import (
@@ -33,6 +34,10 @@ from fsrkit.rules import (
     shift,
     subdivide,
     validate_rule,
+)
+from tests.helpers import (
+    assert_level_valid_by_construction,
+    assert_valid_by_construction,
 )
 
 
@@ -523,3 +528,82 @@ def test_analyze_leaves_no_reference_cycle():
             assert ref() is None, name
     finally:
         gc.enable()
+
+
+# -- rules and levels that are valid by construction --------------------------
+
+
+def test_derived_rules_pass_the_full_check():
+    for name in sorted(CATALOG):
+        rule = get_rule(name)
+        tower = Tower.of(rule)
+        for k in (1, 2):
+            assert_valid_by_construction(shift(rule, k), tower, k, k + 1)
+        for k in (2, 3):
+            assert_valid_by_construction(power(rule, k), tower, 0, k)
+        pw = power(rule, 2)
+        assert_valid_by_construction(shift(pw, 1), Tower.of(pw), 1, 2)
+
+
+def test_certificate_transforms_pass_the_full_check():
+    checked = 0
+    for name in sorted(CATALOG):
+        rule = get_rule(name)
+        try:
+            ctx = _certificate_context(rule)
+        except FsrError:
+            continue
+        source = power(rule, ctx.k1) if ctx.k1 > 1 else rule
+        assert_valid_by_construction(ctx.work, Tower.of(source),
+                                     ctx.s, ctx.s + 1)
+        checked += 1
+    assert checked == 4
+
+
+def test_subdivided_levels_pass_the_full_check():
+    for name in sorted(CATALOG):
+        tower = Tower.build(get_rule(name))
+        for n in range(2, 5):
+            assert_level_valid_by_construction(tower.up_to(n).complex)
+
+
+def test_derived_rules_skip_the_structural_checks(monkeypatch):
+    rule = get_rule("tripod_pillow_4")
+    derived = [shift(rule, 1), power(rule, 2)]
+
+    def refuse(rule):
+        raise AssertionError(f"{rule.name} checked again")
+
+    monkeypatch.setattr(rules, "_check_rule", refuse)
+    monkeypatch.setattr(rules, "validate_complex", refuse)
+    for d in derived:
+        assert validate_rule(d).ok
+        assert "by_construction" not in d.metadata
+
+
+def test_replace_of_a_derived_rule_is_checked_in_full():
+    pw = power(get_rule("tripod_pillow_4"), 2)
+    e1 = sorted(pw.map_edges)[0]
+    img = pw.map_edges[e1]
+    bad = dataclasses.replace(pw, map_edges={
+        **pw.map_edges, e1: EdgeImage(img.edge, -img.orient)})
+    assert validate_rule(pw).ok
+    rep = validate_rule(bad)
+    assert not rep.ok and rep.first_failure == "orientation"
+
+
+@pytest.mark.parametrize("column", ["type_cell", "rel_orient"])
+def test_oracle_fails_on_a_corrupted_column(column):
+    rule = get_rule("tripod_pillow_4")
+    tower = Tower.of(rule)
+    cols = tower.up_to(2).columns["edge"]
+    i = cols["parent_kind"].index("edge")
+    if column == "type_cell":
+        cols[column][i] = min(set(rule.level0.edges) - {cols[column][i]})
+        derived, lo, hi = power(rule, 2), 0, 2
+    else:
+        cols[column][i] = -cols[column][i]
+        derived, lo, hi = shift(rule, 1), 1, 2
+    assert validate_rule(derived).ok        # the mark skips every check
+    with pytest.raises(AssertionError):
+        assert_valid_by_construction(derived, tower, lo, hi)

@@ -12,8 +12,8 @@ from fsrkit.spines import (
     is_levy_free,
     non_expanding_spine,
     peripheral_cycles,
-    recurrent_cells,
 )
+from tests.helpers import recurrent_cells
 
 
 def test_recurrent_cells_power_spider():
