@@ -241,10 +241,10 @@ def validate_complex(cx: SphereComplex) -> ValidationReport:
     return report
 
 
-def require_valid(cx: SphereComplex, what: str = "complex") -> None:
+def require_valid(cx: SphereComplex) -> None:
     rep = validate_complex(cx)
     if not rep.ok:
-        raise ValidationFailure(f"{what}: {rep.summary()}", check=rep.first_failure or "")
+        raise ValidationFailure(f"complex: {rep.summary()}", check=rep.first_failure or "")
 
 
 # ---------------------------------------------------------------------------

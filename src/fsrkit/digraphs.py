@@ -297,8 +297,8 @@ class CertifiedValue:
         return self.upper - self.lower
 
 
-def _pf_irreducible(m: Sequence[Sequence[float]], tol: float = 1e-12,
-                    max_iter: int = 100_000) -> CertifiedValue:
+def _pf_irreducible(m: Sequence[Sequence[float]], tol: float = 1e-12
+                    ) -> CertifiedValue:
     """Perron eigenvalue of an irreducible nonnegative matrix (rows m[i][j]):
     a float power iteration on m + I, then Collatz-Wielandt bounds
     min/max (m x)_i / x_i on the final iterate x, a rational vector,
@@ -307,7 +307,7 @@ def _pf_irreducible(m: Sequence[Sequence[float]], tol: float = 1e-12,
     shifted = [[v + (i == j) for j, v in enumerate(row)]
                for i, row in enumerate(a)]
     x = [1.0] * len(a)
-    for _ in range(max_iter):
+    for _ in range(100_000):
         y = [sum(map(operator.mul, row, x)) for row in shifted]
         ratios = [yi / xi for yi, xi in zip(y, x) if xi > 0]
         lo, hi = min(ratios), max(ratios)

@@ -177,15 +177,14 @@ def edge_growth_classes(rule: SubdivisionRule) -> dict[str, GrowthClass]:
     return {e: growth_class(g, e) for e in rule.level0.edges}
 
 
-def edge_growth_rate(rule: SubdivisionRule, e0: str,
-                     tol: float = 1e-10) -> CertifiedValue:
+def edge_growth_rate(rule: SubdivisionRule, e0: str) -> CertifiedValue:
     """rho(e) = lim |R^n(e)|^(1/n), certified; exact 1.0 in the polynomial case."""
     g = build_edge_digraph(rule)
     cls = growth_class(g, e0)
     if cls.kind == "polynomial":
         return CertifiedValue(1.0, 1.0, 1.0)
     keep = sorted(reachable_from(g, e0))
-    return spectral_radius(g.arc_counts(keep), tol=tol)
+    return spectral_radius(g.arc_counts(keep), tol=1e-10)
 
 
 def recurrency_periods(rule: SubdivisionRule) -> dict[str, int]:

@@ -156,35 +156,27 @@ def energy_1p(m: PLGraphMap, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def dual_conformal_graph(rule: SubdivisionRule, tower: Tower, n: int, p: float,
-                         base_lengths: dict[str, Fraction] | None = None
+def dual_conformal_graph(rule: SubdivisionRule, tower: Tower, n: int, p: float
                          ) -> ConformalGraph:
-    """Level-n dual skeleton with lengths lifted from the base through the
-    level-n covering: a dual edge inherits the length of its type's dual."""
+    """Level-n dual skeleton with every dual edge of length 1."""
     lv = tower.up_to(n)
     dual = dual_skeleton(lv.complex)
-    types = lv.by_id("edge", "type_cell")
-    lengths = {}
-    for e in lv.complex.edges:
-        lengths[e] = (base_lengths or {}).get(types[e], Fraction(1))
     return ConformalGraph(tuple(sorted(lv.complex.tiles)),
                           {e: (dual.dart_tile[(e, MINUS)],
                                dual.dart_tile[(e, PLUS)])
                            for e in lv.complex.edges},
-                          p, lengths)
+                          p, dict.fromkeys(lv.complex.edges, Fraction(1)))
 
 
 def natural_representative(rule: SubdivisionRule, n: int, m: int,
-                           p: float = 2.0,
-                           base_lengths: dict[str, Fraction] | None = None
-                           ) -> PLGraphMap:
+                           p: float = 2.0) -> PLGraphMap:
     """phi^n_m: level-n dual -> level-m dual.  A dual edge maps onto the dual
     of its level-m ancestor edge, or collapses when the ancestor is a tile."""
     if not n > m >= 0:
         raise ValidationFailure("need n > m >= 0", check="levels")
     tower = Tower.of(rule)
-    gn = dual_conformal_graph(rule, tower, n, p, base_lengths)
-    gm = dual_conformal_graph(rule, tower, m, p, base_lengths)
+    gn = dual_conformal_graph(rule, tower, n, p)
+    gm = dual_conformal_graph(rule, tower, m, p)
     lvn = tower.up_to(n)
 
     vertex_image = {}

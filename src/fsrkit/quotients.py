@@ -10,6 +10,7 @@ quotient are the induced subgraphs on the surviving types.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .complexes import Dart, MINUS, PLUS, SphereComplex, flip
@@ -34,70 +35,52 @@ from .rules import (
 )
 
 
+Cell = tuple[str, str]        # (kind, id), kind "vertex", "edge" or "tile"
+
+
 @dataclass(frozen=True)
 class CollapsibleSubcomplex:
     edges: frozenset[str]
     tiles: frozenset[str]
-    components: tuple[tuple[str, ...], ...]   # cell ids ("v:", "e:", "t:" tags)
+    components: tuple[tuple[Cell, ...], ...]   # sorted cells, least first
 
     def is_empty(self) -> bool:
         return not self.edges and not self.tiles
 
 
-def _subcomplex_components(cx: SphereComplex, edges: frozenset[str],
-                           tiles: frozenset[str],
-                           extra_vertices: frozenset[str] = frozenset()
-                           ) -> list[dict]:
-    """Connected components of the closed subcomplex spanned by the cells."""
-    verts: set[str] = set(extra_vertices)
+def _components(cx: SphereComplex, edges: frozenset[str],
+                tiles: frozenset[str],
+                extra_vertices: frozenset[str] = frozenset()
+                ) -> list[tuple[Cell, ...]]:
+    """Connected components of the closed subcomplex spanned by the cells,
+    in the order of their least cells.
+
+    A union-find over the endpoints of the edges.  The subcomplex is closed
+    (the boundary edges of its tiles are among its edges), so each tile
+    falls in the component of its corners.  Level 0 is checked for closure
+    by ``validate_collapsible``; the level-1 preimage of a closed
+    subcomplex is closed, since a tile maps its boundary onto its image's.
+    """
+    root = {v: v for v in extra_vertices}
+
+    def find(v: str) -> str:
+        root.setdefault(v, v)
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
     for e in edges:
         t, h = cx.edges[e]
-        verts.update((t, h))
-    for t in tiles:
-        for d in cx.tiles[t]:
-            verts.add(cx.tail(d))
-
-    nodes = ({f"v:{v}" for v in verts} | {f"e:{e}" for e in edges}
-             | {f"t:{t}" for t in tiles})
-    adj: dict[str, set[str]] = {n: set() for n in nodes}
-
-    def link(a: str, b: str) -> None:
-        adj[a].add(b)
-        adj[b].add(a)
-
+        root[find(t)] = find(h)
+    comps: dict[str, list[Cell]] = {}
+    for v in root:
+        comps.setdefault(find(v), []).append(("vertex", v))
     for e in edges:
-        t, h = cx.edges[e]
-        link(f"e:{e}", f"v:{t}")
-        link(f"e:{e}", f"v:{h}")
+        comps[find(cx.edges[e][0])].append(("edge", e))
     for t in tiles:
-        for (e, _) in cx.tiles[t]:
-            if e in edges:
-                link(f"t:{t}", f"e:{e}")
-            else:
-                raise ValidationFailure(
-                    f"subcomplex tile {t} has boundary edge {e} outside the "
-                    "edge set", check="subcomplex closure")
-
-    comps: list[dict] = []
-    seen: set[str] = set()
-    for n0 in sorted(nodes):
-        if n0 in seen:
-            continue
-        comp = {n0}
-        stack = [n0]
-        while stack:
-            for m in adj[stack.pop()]:
-                if m not in comp:
-                    comp.add(m)
-                    stack.append(m)
-        seen |= comp
-        comps.append({
-            "cells": tuple(sorted(comp)),
-            "vertices": {c[2:] for c in comp if c.startswith("v:")},
-            "edges": {c[2:] for c in comp if c.startswith("e:")},
-            "tiles": {c[2:] for c in comp if c.startswith("t:")},
-        })
-    return comps
+        comps[find(cx.tail(cx.tiles[t][0]))].append(("tile", t))
+    return sorted(tuple(sorted(c)) for c in comps.values())
 
 
 def validate_collapsible(rule: SubdivisionRule, edges: frozenset[str],
@@ -118,7 +101,7 @@ def validate_collapsible(rule: SubdivisionRule, edges: frozenset[str],
     if radical_closure(tg, tiles) != set(tiles):
         raise ValidationFailure("tile set is not a radical ideal of the "
                                 "tile-subdivision digraph", check="radical ideal")
-    for t in tiles:
+    for t in sorted(tiles):
         for (e, _) in cx.tiles[t]:
             if e not in edges:
                 raise ValidationFailure(
@@ -128,20 +111,20 @@ def validate_collapsible(rule: SubdivisionRule, edges: frozenset[str],
         raise ValidationFailure("subcomplex is the whole sphere",
                                 check="subcomplex")
 
-    comps = _subcomplex_components(cx, edges, tiles)
+    comps = _components(cx, edges, tiles)
     for comp in comps:
-        chi = (len(comp["vertices"]) - len(comp["edges"]) + len(comp["tiles"]))
+        kinds = [kind for kind, _ in comp]
+        chi = kinds.count("vertex") - kinds.count("edge") + kinds.count("tile")
         if chi != 1:
             raise ValidationFailure(
-                f"component {comp['cells'][0]}... has Euler count {chi}; "
-                "not simply connected", check="simply connected")
+                f"component {comp[0][0][0]}:{comp[0][1]}... has Euler count "
+                f"{chi}; not simply connected", check="simply connected")
     return CollapsibleSubcomplex(frozenset(edges), frozenset(tiles),
-                                 tuple(c["cells"] for c in comps))
+                                 tuple(comps))
 
 
 def collapsible_from_julia_edges(rule: SubdivisionRule,
-                                 marked: frozenset[str] | None = None,
-                                 skip_levy_check: bool = False
+                                 marked: frozenset[str] | None = None
                                  ) -> CollapsibleSubcomplex:
     """Collapsible subcomplex generated by Julia edges of polynomial growth.
 
@@ -151,12 +134,10 @@ def collapsible_from_julia_edges(rule: SubdivisionRule,
     """
     from .spines import is_levy_free
 
-    if not skip_levy_check:
-        report = is_levy_free(rule, marked)
-        if not report.levy_free:
-            raise UnsupportedRegime(
-                "rule has a Levy obstruction; the Julia-edge collapse "
-                "requires a Levy-free rule")
+    if not is_levy_free(rule, marked).levy_free:
+        raise UnsupportedRegime(
+            "rule has a Levy obstruction; the Julia-edge collapse "
+            "requires a Levy-free rule")
     classes = classify_vertices(rule)
     marked = frozenset(marked) if marked is not None else rule.marked
 
@@ -204,8 +185,8 @@ def _cycle_vertices(cx: SphereComplex, cycle_edges: frozenset[str]) -> set[str]:
     return out
 
 
-def _simple_edge_cycles(cx: SphereComplex, edges: frozenset[str],
-                        cap: int = 10_000) -> list[frozenset[str]]:
+def _simple_edge_cycles(cx: SphereComplex, edges: frozenset[str]
+                        ) -> list[frozenset[str]]:
     """Vertex-simple cycles of the 1-skeleton supported on the edge set."""
     incid: dict[str, list[tuple[str, str]]] = {}
     for e in sorted(edges):
@@ -213,8 +194,7 @@ def _simple_edge_cycles(cx: SphereComplex, edges: frozenset[str],
         incid.setdefault(t, []).append((e, h))
         incid.setdefault(h, []).append((e, t))
     cycles: set[frozenset[str]] = set()
-    order = sorted(edges)
-    for k, e0 in enumerate(order):
+    for e0 in sorted(edges):
         t0, h0 = cx.edges[e0]
         if t0 == h0:
             cycles.add(frozenset({e0}))
@@ -222,7 +202,7 @@ def _simple_edge_cycles(cx: SphereComplex, edges: frozenset[str],
         # paths from h0 back to t0 avoiding e0, using edges >= e0
         stack = [(h0, [e0], {t0, h0})]
         while stack:
-            if len(cycles) > cap:
+            if len(cycles) > 10_000:
                 raise InternalInconsistency("Jordan-curve enumeration cap hit")
             at, path, visited = stack.pop()
             for (e, nxt) in incid.get(at, []):
@@ -290,210 +270,120 @@ class QuotientResult:
     collapse_level1: dict[str, str]
 
 
-def _component_name(cells: tuple[str, ...]) -> str:
-    return "q(" + min(c[2:] for c in cells) + ")"
+def _collapse(cx: SphereComplex, point: dict[Cell, str],
+              marked: frozenset[str]) -> SphereComplex:
+    """The quotient of cx that sends each collapsed cell to its point: the
+    surviving vertices in their order, then the sorted points, and each
+    surviving tile's walk without the collapsed edges."""
+    def end(v: str) -> str:
+        return point.get(("vertex", v), v)
+
+    vertices = [v for v in cx.vertices if ("vertex", v) not in point]
+    vertices += sorted({q for (kind, _), q in point.items() if kind == "vertex"})
+    edges = {e: (end(t), end(h)) for e, (t, h) in cx.edges.items()
+             if ("edge", e) not in point}
+    tiles = {}
+    for t, walk in cx.tiles.items():
+        if ("tile", t) in point:
+            continue
+        pruned = tuple(d for d in walk if ("edge", d[0]) not in point)
+        if len(pruned) < 2:
+            raise ValidationFailure(
+                f"tile {t} degenerates to a walk of length {len(pruned)} "
+                "after collapse", check="degenerate tile")
+        tiles[t] = pruned
+    return SphereComplex(tuple(dict.fromkeys(vertices)), edges, tiles, marked)
 
 
 def quotient_rule(rule: SubdivisionRule, x: CollapsibleSubcomplex
                   ) -> QuotientResult:
-    """Collapse each component of X (and of its level-1 preimage) to a point."""
+    """Collapse each component of X, and each component of its level-1
+    preimage f^-1(X), to a point; the surviving cells keep their carriers
+    and maps.
+
+    A collapsed level-0 component is named ``q(least cell id)`` and a
+    collapsed level-1 component ``p(least cell id)``, except that a level-1
+    component holding the copy of a marked vertex takes that vertex's
+    level-0 name (its ``q(...)`` point, or the vertex id if it survives):
+    the rule has one marked set for both levels.
+
+    Once ``validate_collapsible`` has passed, these hold by construction:
+    a connected level-1 component maps into one level-0 component; the
+    cells of an ideal subdivide into cells of the ideal, so no surviving
+    level-1 edge or tile is carried by a collapsed cell; and a level-1 tile
+    walk loses exactly the positions that its image walk loses, so it does
+    not degenerate.  ``validate_rule`` still checks the quotient in full.
+    """
     require_valid_rule(rule)
     if x.is_empty():
         return QuotientResult(rule, {}, {})
     x = validate_collapsible(rule, x.edges, x.tiles)
     c0, c1 = rule.level0, rule.level1
 
-    comps0 = _subcomplex_components(c0, x.edges, x.tiles)
-    q0: dict[str, str] = {}      # collapsed level-0 cell -> new vertex id
-    for comp in comps0:
-        q = _component_name(comp["cells"])
-        marked_in = comp["vertices"] & rule.marked
+    point0: dict[Cell, str] = {}      # collapsed level-0 cell -> its point
+    for comp in x.components:
+        q = "q(" + min(cid for _, cid in comp) + ")"
+        marked_in = {cid for kind, cid in comp if kind == "vertex"} & rule.marked
         if len(marked_in) > 1:
             raise ValidationFailure(
                 f"component {q} collapses marked points {sorted(marked_in)}",
                 check="marked collision")
-        for v in comp["vertices"]:
-            q0[f"v:{v}"] = q
-        for e in comp["edges"]:
-            q0[f"e:{e}"] = q
-        for t in comp["tiles"]:
-            q0[f"t:{t}"] = q
+        point0.update(dict.fromkeys(comp, q))
 
-    def v0new(v: str) -> str:
-        return q0.get(f"v:{v}", v)
+    def lift(cell: Cell) -> Cell:
+        """The level-0 cell, or the point it collapsed to."""
+        return ("vertex", point0[cell]) if cell in point0 else cell
 
-    new_vertices0 = []
-    for v in c0.vertices:
-        if f"v:{v}" not in q0:
-            new_vertices0.append(v)
-    new_vertices0 += sorted({q for k, q in q0.items() if k.startswith("v:")})
-    new_edges0 = {e: (v0new(t), v0new(h)) for e, (t, h) in c0.edges.items()
-                  if e not in x.edges}
-    new_tiles0 = {}
-    for t, walk in c0.tiles.items():
-        if t in x.tiles:
-            continue
-        pruned = tuple(d for d in walk if d[0] not in x.edges)
-        if len(pruned) < 2:
-            raise ValidationFailure(
-                f"tile {t} degenerates to a walk of length {len(pruned)} "
-                "after collapse", check="degenerate tile")
-        new_tiles0[t] = pruned
-    new_marked = frozenset(v0new(v) for v in rule.marked)
-    level0q = SphereComplex(tuple(dict.fromkeys(new_vertices0)), new_edges0,
-                            new_tiles0, new_marked)
+    marked = frozenset(lift(("vertex", v))[1] for v in rule.marked)
+    level0q = _collapse(c0, point0, marked)
 
-    # level-1 preimage subcomplex
-    x1_edges = frozenset(e1 for e1, img in rule.map_edges.items()
-                         if img.edge in x.edges)
-    x1_tiles = frozenset(t1 for t1, img in rule.map_tiles.items()
-                         if img.tile in x.tiles)
-    x1_extra_verts = frozenset(
-        v1 for v1, img in rule.map_vertices.items()
-        if f"v:{img}" in q0)
-    comps1 = _subcomplex_components(c1, x1_edges, x1_tiles, x1_extra_verts)
-    q1: dict[str, str] = {}
-    for comp in comps1:
-        q = "p(" + min(c[2:] for c in comp["cells"]) + ")"
-        for kind in ("vertices", "edges", "tiles"):
-            for cid in comp[kind]:
-                q1[f"{kind[0]}:{cid}"] = q
-
-    def v1new(v: str) -> str:
-        return q1.get(f"v:{v}", v)
-
-    new_vertices1 = [v for v in c1.vertices if f"v:{v}" not in q1]
-    new_vertices1 += sorted({q for k, q in q1.items() if k.startswith("v:")})
-    new_edges1 = {e: (v1new(t), v1new(h)) for e, (t, h) in c1.edges.items()
-                  if e not in x1_edges}
-    new_tiles1 = {}
-    old_pruned_walk: dict[str, list[int]] = {}
-    for t, walk in c1.tiles.items():
-        if t in x1_tiles:
-            continue
-        keep = [i for i, d in enumerate(walk) if d[0] not in x1_edges]
-        pruned = tuple(walk[i] for i in keep)
-        if len(pruned) < 2:
-            raise ValidationFailure(
-                f"level-1 tile {t} degenerates after collapse",
-                check="degenerate tile")
-        new_tiles1[t] = pruned
-        old_pruned_walk[t] = keep
-    level1q = SphereComplex(tuple(dict.fromkeys(new_vertices1)), new_edges1,
-                            new_tiles1, new_marked)
-
-    # carriers and map for surviving cells; collapsed components become
-    # vertices carried by / mapped to collapsed level-0 points
-    comp_image: dict[str, str] = {}
-    for comp in comps1:
-        q = "p(" + min(c[2:] for c in comp["cells"]) + ")"
-        imgs = set()
-        for v in comp["vertices"]:
-            imgs.add(q0.get("v:" + rule.map_vertices[v]))
-        for e in comp["edges"]:
-            imgs.add(q0.get("e:" + rule.map_edges[e].edge))
-        for t in comp["tiles"]:
-            imgs.add(q0.get("t:" + rule.map_tiles[t].tile))
-        imgs.discard(None)
-        if len(imgs) != 1:
-            raise InternalInconsistency(
-                f"level-1 component {q} maps into {len(imgs)} level-0 "
-                "components")
-        comp_image[q] = imgs.pop()
-
-    def comp_carrier(comp: dict) -> tuple[str, str]:
-        carriers: set[tuple[str, str]] = set()
-        for v in comp["vertices"]:
-            kind, ref = rule.carrier_vertices[v]
-            carriers.add((kind, ref))
-        for e in comp["edges"]:
-            carriers.add(rule.carrier_edges[e])
-        for t in comp["tiles"]:
-            carriers.add(("tile", rule.carrier_tiles[t]))
-        mapped: set[tuple[str, str]] = set()
-        for kind, ref in carriers:
-            key = f"{kind[0]}:{ref}"
-            if key in q0:
-                mapped.add(("vertex", q0[key]))
-            else:
-                mapped.add((kind, ref))
-        tiles = [r for k, r in mapped if k == "tile"]
-        edgesc = [r for k, r in mapped if k == "edge"]
-        vertsc = [r for k, r in mapped if k == "vertex"]
-        if len(tiles) > 1:
-            raise ValidationFailure(
-                "collapsed level-1 component spans two surviving tiles; the "
-                "quotient is not a subdivision rule", check="quotient carrier")
-        if tiles:
-            return ("tile", tiles[0])
-        if len(set(edgesc)) > 1:
-            raise ValidationFailure(
-                "collapsed level-1 component spans two surviving edges",
-                check="quotient carrier")
-        if edgesc:
-            return ("edge", edgesc[0])
-        if len(set(vertsc)) != 1:
-            raise ValidationFailure(
-                "collapsed level-1 component has no unique carrier vertex",
-                check="quotient carrier")
-        return ("vertex", vertsc[0])
-
+    comps1 = _components(
+        c1,
+        frozenset(e for e, img in rule.map_edges.items()
+                  if ("edge", img.edge) in point0),
+        frozenset(t for t, img in rule.map_tiles.items()
+                  if ("tile", img.tile) in point0),
+        frozenset(v for v, img in rule.map_vertices.items()
+                  if ("vertex", img) in point0))
+    point1: dict[Cell, str] = {}
     carrier_vertices: dict[str, tuple[str, str]] = {}
-    carrier_edges: dict[str, tuple[str, str]] = {}
-    carrier_tiles: dict[str, str] = {}
     map_vertices: dict[str, str] = {}
-    map_edges: dict[str, EdgeImage] = {}
-    map_tiles: dict[str, TileImage] = {}
-
     for comp in comps1:
-        q = "p(" + min(c[2:] for c in comp["cells"]) + ")"
-        if q not in carrier_vertices:
-            carrier_vertices[q] = comp_carrier(comp)
-            map_vertices[q] = comp_image[q]
+        copies = {rule.carrier_vertices[cid] for kind, cid in comp
+                  if kind == "vertex"}
+        held = sorted(m for m in rule.marked if ("vertex", m) in copies)
+        q = (lift(("vertex", held[0]))[1] if held
+             else "p(" + min(cid for _, cid in comp) + ")")
+        point1.update(dict.fromkeys(comp, q))
+        carrier_vertices[q] = _component_carrier(rule, comp, lift)
+        # the cells sort edges, tiles, vertices: the last cell is a vertex
+        map_vertices[q] = point0[("vertex", rule.map_vertices[comp[-1][1]])]
+    level1q = _collapse(c1, point1, marked)
+
     for v in c1.vertices:
-        if f"v:{v}" in q1:
-            continue
-        kind, ref = rule.carrier_vertices[v]
-        key = f"{kind[0]}:{ref}"
-        carrier_vertices[v] = (("vertex", q0[key]) if key in q0
-                               else (kind, ref))
-        map_vertices[v] = rule.map_vertices[v]
-    for e in c1.edges:
-        if e in x1_edges:
-            continue
-        kind, ref = rule.carrier_edges[e]
-        key = f"{kind[0]}:{ref}"
-        if key in q0:
-            raise InternalInconsistency(
-                f"surviving level-1 edge {e} carried by collapsed cell {ref}")
-        carrier_edges[e] = (kind, ref)
-        map_edges[e] = rule.map_edges[e]
-    for t in c1.tiles:
-        if t in x1_tiles:
-            continue
-        ref = rule.carrier_tiles[t]
-        if f"t:{ref}" in q0:
-            raise InternalInconsistency(
-                f"surviving level-1 tile {t} carried by collapsed tile {ref}")
-        carrier_tiles[t] = ref
+        if ("vertex", v) not in point1:
+            carrier_vertices[v] = lift(rule.carrier_vertices[v])
+            map_vertices[v] = rule.map_vertices[v]
+    map_tiles: dict[str, TileImage] = {}
+    for t in level1q.tiles:
+        # position i of t's walk maps to position i + align of its image's,
+        # so the first surviving position of t maps to the first surviving
+        # image position at or after align, cyclically
         img = rule.map_tiles[t]
-        # realign: surviving positions correspond bijectively
-        img_walk = c0.tiles[img.tile]
-        keep_src = old_pruned_walk[t]
-        keep_img = [j for j, d in enumerate(img_walk) if d[0] not in x.edges]
-        i0 = keep_src[0]
-        j0 = (i0 + img.align) % len(img_walk)
-        map_tiles[t] = TileImage(img.tile, keep_img.index(j0))
+        walk = c0.tiles[img.tile]
+        kept = sum(("edge", d[0]) not in point0
+                   for d in walk[:img.align % len(walk)])
+        map_tiles[t] = TileImage(img.tile, kept % len(level0q.tiles[img.tile]))
 
     new_rule = SubdivisionRule(
         name=f"{rule.name}/quotient",
         level0=level0q,
         level1=level1q,
         carrier_vertices=carrier_vertices,
-        carrier_edges=carrier_edges,
-        carrier_tiles=carrier_tiles,
+        carrier_edges={e: rule.carrier_edges[e] for e in level1q.edges},
+        carrier_tiles={t: rule.carrier_tiles[t] for t in level1q.tiles},
         map_vertices=map_vertices,
-        map_edges=map_edges,
+        map_edges={e: rule.map_edges[e] for e in level1q.edges},
         map_tiles=map_tiles,
         metadata={**rule.metadata, "quotient_of": rule.name,
                   "collapsed_edges": tuple(sorted(x.edges)),
@@ -504,9 +394,36 @@ def quotient_rule(rule: SubdivisionRule, x: CollapsibleSubcomplex
         raise ValidationFailure(
             f"quotient of {rule.name} is not a valid rule: {rep.summary()}",
             check=rep.first_failure or "quotient")
-    collapse0 = {k.split(":", 1)[1]: v for k, v in q0.items()}
-    collapse1 = {k.split(":", 1)[1]: v for k, v in q1.items()}
-    return QuotientResult(new_rule, collapse0, collapse1)
+    return QuotientResult(new_rule, {cid: q for (_, cid), q in point0.items()},
+                          {cid: q for (_, cid), q in point1.items()})
+
+
+def _component_carrier(rule: SubdivisionRule, comp: tuple[Cell, ...],
+                       lift: Callable[[Cell], Cell]) -> tuple[str, str]:
+    """The level-0 cell that carries a collapsed level-1 component: the one
+    surviving tile or edge among its cells' lifted carriers, else its one
+    point."""
+    found = set()
+    for kind, cid in comp:
+        found.add(lift(("tile", rule.carrier_tiles[cid]) if kind == "tile"
+                       else rule.carrier_vertices[cid] if kind == "vertex"
+                       else rule.carrier_edges[cid]))
+    for kind, what in (
+            ("tile", "tiles; the quotient is not a subdivision rule"),
+            ("edge", "edges")):
+        refs = [ref for k, ref in found if k == kind]
+        if len(refs) > 1:
+            raise ValidationFailure(
+                f"collapsed level-1 component spans two surviving {what}",
+                check="quotient carrier")
+        if refs:
+            return (kind, refs[0])
+    vertices = [ref for k, ref in found if k == "vertex"]
+    if len(vertices) != 1:
+        raise ValidationFailure(
+            "collapsed level-1 component has no unique carrier vertex",
+            check="quotient carrier")
+    return ("vertex", vertices[0])
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +466,29 @@ def vertex_sequence_on_edge(tower: Tower, e: str, level: int, start: int = 0
     return seq
 
 
-def _birth_level(tower: Tower, vid: str, max_level: int) -> int:
-    for j in range(max_level + 1):
-        if vid in tower.up_to(j).by_id("vertex", "fimage"):
-            return j
-    raise InternalInconsistency(f"vertex {vid} not found below level {max_level}")
+def _split(cx: SphereComplex, split: dict[str, list[str]],
+           new_vertices: list[str], marked: frozenset[str]
+           ) -> tuple[SphereComplex, dict[str, list[tuple[str, str, str]]]]:
+    """cx with each edge e cut at its ordered stops ``split[e]`` into the
+    segments ``e#0``, ``e#1``, ...; also each edge's (segment, tail, head)
+    list.  An edge without stops keeps its id."""
+    segs: dict[str, list[tuple[str, str, str]]] = {}
+    for e, (t, h) in cx.edges.items():
+        stops = [t, *split.get(e, ()), h]
+        segs[e] = ([(e, t, h)] if len(stops) == 2 else
+                   [(f"{e}#{i}", a, b)
+                    for i, (a, b) in enumerate(zip(stops, stops[1:]))])
+
+    def expand(d: Dart) -> list[Dart]:
+        run = [(sid, PLUS) for (sid, _, _) in segs[d[0]]]
+        return run if d[1] == PLUS else [flip(x) for x in reversed(run)]
+
+    return SphereComplex(
+        (*cx.vertices, *new_vertices),
+        {sid: (t, h) for run in segs.values() for (sid, t, h) in run},
+        {t: tuple(x for d in walk for x in expand(d))
+         for t, walk in cx.tiles.items()},
+        marked), segs
 
 
 def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]]
@@ -562,8 +497,10 @@ def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]]
 
     ``seed_points`` lists (level-n vertex id, level n).  The forward orbit of
     each seed is added to the level-0 vertex set, splitting the edges that
-    host the new points; the level-1 complex is split compatibly at the
-    preimages of all new points.
+    host the new points into segments ``e#0``, ``e#1``, ...; the level-1
+    complex is split the same way at the preimages of all new points.  A
+    level-1 segment lies in one level-0 segment of its carrier edge and
+    maps onto one level-0 segment; ``validate_rule`` checks the result.
     """
     tower = Tower.of(rule)
 
@@ -595,43 +532,19 @@ def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]]
         seq = vertex_sequence_on_edge(tower, e0, level_max)
         pos = {v: i for i, v in enumerate(seq)}
         split0[e0] = sorted(split0[e0], key=lambda v: pos[v])
+    c0, c1 = rule.level0, rule.level1
+    level0n, seg0 = _split(c0, split0, sorted(points), c0.marked)
 
-    # ---- level-0 complex with split edges ----------------------------------
-    c0 = rule.level0
-    seg0: dict[str, list[tuple[str, str, str]]] = {}   # edge -> (seg id, t, h)
-    for e0, (t, h) in c0.edges.items():
-        stops = [t] + split0.get(e0, []) + [h]
-        if len(stops) == 2:
-            seg0[e0] = [(e0, t, h)]
-        else:
-            seg0[e0] = [(f"{e0}#{i}", stops[i], stops[i + 1])
-                        for i in range(len(stops) - 1)]
-    new_vertices0 = list(c0.vertices) + sorted(points)
-    new_edges0 = {sid: (t, h) for segs in seg0.values() for (sid, t, h) in segs}
-
-    def expand_dart0(d: Dart) -> list[Dart]:
-        segs = seg0[d[0]]
-        run = [(sid, PLUS) for (sid, _, _) in segs]
-        return run if d[1] == PLUS else [flip(x) for x in reversed(run)]
-
-    new_tiles0 = {t: tuple(x for d in walk for x in expand_dart0(d))
-                  for t, walk in c0.tiles.items()}
-    level0n = SphereComplex(tuple(new_vertices0), new_edges0, new_tiles0,
-                            c0.marked)
-
-    # ---- level-1 complex split at preimages of the new points --------------
     # level-1 split points: vertices of f^{-1}(new vertex set), i.e. all
-    # subdivision vertices whose one-step image is a refined level-0 vertex
-    c1 = rule.level1
-    hi = tower.up_to(level_max + 1)
+    # subdivision vertices whose one-step image is a refined level-0 vertex,
+    # each with its birth level (level 1 is rule.level1)
     new_ids = set(points) | set(c0.vertices)
     w_points: dict[str, int] = {}
-    for vid in hi.complex.vertices:
-        if vid in c1.vertices:
-            continue
-        bl = _birth_level(tower, vid, level_max + 1)
-        if tower.up_to(bl).by_id("vertex", "fimage")[vid] in new_ids:
-            w_points[vid] = bl
+    for bl in range(2, level_max + 2):
+        older = tower.up_to(bl - 1).by_id("vertex", "fimage")
+        for vid, image in tower.up_to(bl).by_id("vertex", "fimage").items():
+            if vid not in older and image in new_ids:
+                w_points[vid] = bl
 
     split1: dict[str, list[str]] = {}
     host1_of: dict[str, tuple[str, str]] = {}
@@ -643,7 +556,7 @@ def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]]
         elif kind != "tile":
             raise InternalInconsistency(
                 f"preimage point {vid} hosted by a vertex")
-    order_level = max([level_max + 1] + [l for l in w_points.values()])
+    order_level = level_max + 1     # every split point is a vertex by now
     for e1 in split1:
         seq = vertex_sequence_on_edge(tower, e1, order_level, start=1)
         pos = {v: i for i, v in enumerate(seq)}
@@ -652,95 +565,54 @@ def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]]
             raise InternalInconsistency(
                 f"points {missing} not on the expansion of {e1}")
         split1[e1] = sorted(split1[e1], key=lambda v: pos[v])
-
-    seg1: dict[str, list[tuple[str, str, str]]] = {}
-    for e1, (t, h) in c1.edges.items():
-        stops = [t] + split1.get(e1, []) + [h]
-        if len(stops) == 2:
-            seg1[e1] = [(e1, t, h)]
-        else:
-            seg1[e1] = [(f"{e1}#{i}", stops[i], stops[i + 1])
-                        for i in range(len(stops) - 1)]
-    new_vertices1 = list(c1.vertices) + sorted(
-        v for v in w_points if v not in c1.vertices)
-    new_edges1 = {sid: (t, h) for segs in seg1.values() for (sid, t, h) in segs}
-
-    def expand_dart1(d: Dart) -> list[Dart]:
-        segs = seg1[d[0]]
-        run = [(sid, PLUS) for (sid, _, _) in segs]
-        return run if d[1] == PLUS else [flip(x) for x in reversed(run)]
-
-    new_tiles1 = {t: tuple(x for d in walk for x in expand_dart1(d))
-                  for t, walk in c1.tiles.items()}
-    level1n = SphereComplex(tuple(new_vertices1), new_edges1, new_tiles1,
-                            c0.marked)
+    level1n, seg1 = _split(c1, split1, sorted(w_points), c0.marked)
 
     # ---- carriers ----------------------------------------------------------
-    carrier_vertices: dict[str, tuple[str, str]] = {}
     pos_on_edge0: dict[str, dict[str, int]] = {}
 
-    def seg_of_point0(e0: str, vid: str) -> str:
+    def host0(e0: str, a: str, b: str, fail: str) -> str:
+        """The segment of the level-0 edge e0 whose stops enclose the
+        points a and b of its level-``order_level`` expansion."""
         if e0 not in pos_on_edge0:
             seq = vertex_sequence_on_edge(tower, e0, order_level)
             pos_on_edge0[e0] = {v: i for i, v in enumerate(seq)}
         pos = pos_on_edge0[e0]
-        stops = [c0.edges[e0][0]] + split0.get(e0, []) + [c0.edges[e0][1]]
-        # find the segment whose endpoint interval contains vid
-        for i in range(len(stops) - 1):
-            if pos[stops[i]] < pos[vid] < pos[stops[i + 1]]:
-                return seg0[e0][i][0]
-        raise InternalInconsistency(f"point {vid} not interior to {e0}")
+        lo, hi_ = sorted((pos[a], pos[b]))
+        for (sid, t, h) in seg0[e0]:
+            if pos[t] <= lo and hi_ <= pos[h]:
+                return sid
+        raise InternalInconsistency(fail)
 
-    for v1 in c1.vertices:
-        kind, ref = rule.carrier_vertices[v1]
+    def carrier(v: str, kind: str, ref: str) -> tuple[str, str]:
+        if v in points:
+            return ("vertex", v)
         if kind == "edge" and ref in split0:
-            if v1 in points:
-                carrier_vertices[v1] = ("vertex", v1)
-            else:
-                carrier_vertices[v1] = ("edge", seg_of_point0(ref, v1))
-        else:
-            carrier_vertices[v1] = (kind, ref)
-    for vid in sorted(w_points):
-        if vid in c1.vertices:
-            continue
-        if vid in points:
-            carrier_vertices[vid] = ("vertex", vid)
-            continue
-        kind, host = host1_of[vid]
-        if kind == "tile":
-            carrier_vertices[vid] = ("tile", rule.carrier_tiles[host])
-            continue
-        # hosted by a level-1 edge: inherit through that edge's carrier
-        ck, cref = rule.carrier_edges[host]
-        if ck == "tile":
-            carrier_vertices[vid] = ("tile", cref)
-        else:
-            carrier_vertices[vid] = (("vertex", vid) if vid in points
-                                     else ("edge", seg_of_point0(cref, vid)))
+            return ("edge", host0(ref, v, v, f"point {v} not interior to {ref}"))
+        return (kind, ref)
 
+    carrier_vertices = {v: carrier(v, *rule.carrier_vertices[v])
+                        for v in c1.vertices}
+    for vid in sorted(w_points):
+        kind, host = host1_of[vid]
+        carrier_vertices[vid] = carrier(
+            vid, *(("tile", rule.carrier_tiles[host]) if kind == "tile"
+                   else rule.carrier_edges[host]))
     carrier_edges: dict[str, tuple[str, str]] = {}
     for e1 in c1.edges:
         kind, ref = rule.carrier_edges[e1]
         for (sid, t, h) in seg1[e1]:
-            if kind == "tile" or ref not in split0:
-                carrier_edges[sid] = (kind, ref)
-            else:
-                # the segment sits inside one level-0 segment of ref
-                carrier_edges[sid] = ("edge", _seg_host(
-                    tower, rule, c0, seg0, split0, ref, sid, t, h,
-                    pos_on_edge0, order_level))
-    carrier_tiles = dict(rule.carrier_tiles)
+            carrier_edges[sid] = (
+                ("edge", host0(ref, t, h, f"segment {sid} of a split edge "
+                               f"spans level-0 segments of {ref}"))
+                if kind == "edge" and ref in split0 else (kind, ref))
 
     # ---- map ----------------------------------------------------------------
-    map_vertices: dict[str, str] = {}
-    for v1 in c1.vertices:
-        map_vertices[v1] = rule.map_vertices[v1]
+    map_vertices = {v: rule.map_vertices[v] for v in c1.vertices}
     for vid in sorted(w_points):
-        if vid not in map_vertices:
-            bl = w_points[vid]
-            map_vertices[vid] = tower.up_to(bl).by_id("vertex", "fimage")[vid]
+        map_vertices[vid] = tower.up_to(w_points[vid]).by_id(
+            "vertex", "fimage")[vid]
 
-    seg_by_ends: dict[str, dict[frozenset, str]] = {}
+    seg_by_ends: dict[str, dict[tuple[str, str], Dart]] = {}
     for e0, segs in seg0.items():
         seg_by_ends[e0] = {}
         for (sid, t, h) in segs:
@@ -751,33 +623,27 @@ def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]]
     for e1 in c1.edges:
         img = rule.map_edges[e1]
         for (sid, t, h) in seg1[e1]:
-            it, ih = map_vertices[t], map_vertices[h]
             if len(seg0[img.edge]) == 1:
                 map_edges[sid] = img
-            else:
-                got = seg_by_ends[img.edge].get((it, ih))
-                if got is None:
-                    raise InternalInconsistency(
-                        f"segment {sid} maps to no segment of {img.edge}")
-                map_edges[sid] = EdgeImage(got[0], got[1])
+                continue
+            got = seg_by_ends[img.edge].get((map_vertices[t], map_vertices[h]))
+            if got is None:
+                raise InternalInconsistency(
+                    f"segment {sid} maps to no segment of {img.edge}")
+            map_edges[sid] = EdgeImage(*got)
 
     map_tiles: dict[str, TileImage] = {}
     for t1, img in rule.map_tiles.items():
-        img_walk = c0.tiles[img.tile]
-        # expansion offset table
-        img_starts = []
-        acc = 0
-        for d in img_walk:
-            img_starts.append(acc)
-            acc += len(seg0[d[0]])
-        j0 = img.align % len(img_walk)
-        map_tiles[t1] = TileImage(img.tile, img_starts[j0])
+        # the image walk position align starts after the segments before it
+        walk = c0.tiles[img.tile]
+        map_tiles[t1] = TileImage(img.tile, sum(
+            len(seg0[d[0]]) for d in walk[:img.align % len(walk)]))
 
     new_rule = SubdivisionRule(
         name=f"{rule.name}/refined",
         level0=level0n, level1=level1n,
         carrier_vertices=carrier_vertices, carrier_edges=carrier_edges,
-        carrier_tiles=carrier_tiles, map_vertices=map_vertices,
+        carrier_tiles=dict(rule.carrier_tiles), map_vertices=map_vertices,
         map_edges=map_edges, map_tiles=map_tiles,
         metadata={**rule.metadata, "refined_from": rule.name,
                   "added_vertices": tuple(sorted(points))},
@@ -787,22 +653,6 @@ def add_vertex_orbit(rule: SubdivisionRule, seed_points: list[tuple[str, int]]
         raise InternalInconsistency(
             f"vertex-orbit refinement broke the rule: {rep.summary()}")
     return new_rule
-
-
-def _seg_host(tower, rule, c0, seg0, split0, ref, sid, t, h,
-              pos_cache, order_level) -> str:
-    """Level-0 segment of edge ref hosting the level-1 segment (t, h)."""
-    if ref not in pos_cache:
-        seq = vertex_sequence_on_edge(tower, ref, order_level)
-        pos_cache[ref] = {v: i for i, v in enumerate(seq)}
-    pos = pos_cache[ref]
-    stops = [c0.edges[ref][0]] + split0.get(ref, []) + [c0.edges[ref][1]]
-    lo, hi_ = sorted((pos[t], pos[h]))
-    for i in range(len(stops) - 1):
-        if pos[stops[i]] <= lo and hi_ <= pos[stops[i + 1]]:
-            return seg0[ref][i][0]
-    raise InternalInconsistency(
-        f"segment {sid} of a split edge spans level-0 segments of {ref}")
 
 
 def isolate_julia_vertices(rule: SubdivisionRule) -> SubdivisionRule:

@@ -24,6 +24,7 @@ from .rules import SubdivisionRule, classify_vertices, validate_rule
 from .spines import is_levy_free, non_expanding_spine
 
 P_SAMPLES = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 8.0)
+N_MAX = 4       # deepest level of the natural representatives
 
 
 @dataclass
@@ -49,9 +50,8 @@ class AnalysisReport:
         return jsonable(self)
 
 
-def analyze(rule: SubdivisionRule, p_samples: tuple[float, ...] = P_SAMPLES,
-            multicurves: tuple[MulticurveSpec, ...] = (),
-            n_max: int = 4) -> AnalysisReport:
+def analyze(rule: SubdivisionRule,
+            multicurves: tuple[MulticurveSpec, ...] = ()) -> AnalysisReport:
     """Deterministic full pipeline; stage errors are recorded, not raised."""
     report = AnalysisReport(name=rule.name, valid=False)
 
@@ -123,7 +123,7 @@ def analyze(rule: SubdivisionRule, p_samples: tuple[float, ...] = P_SAMPLES,
         report.spine = {"note": "exponential growth regime: spine and Levy "
                                 "decisions are not supported"}
         report.levy = {"note": "unsupported regime"}
-        report.energy = _energy_section(rule, p_samples, multicurves, n_max)
+        report.energy = _energy_section(rule, multicurves)
         report.arc = _arc_section(report)
         return report
 
@@ -185,16 +185,16 @@ def analyze(rule: SubdivisionRule, p_samples: tuple[float, ...] = P_SAMPLES,
         report.errors["spine"] = str(exc)
 
     report.stages.append("energy")
-    report.energy = _energy_section(base, p_samples, multicurves, n_max)
+    report.energy = _energy_section(base, multicurves)
     report.arc = _arc_section(report)
     return report
 
 
-def _energy_section(rule, p_samples, multicurves, n_max) -> dict:
+def _energy_section(rule, multicurves) -> dict:
     out: dict = {"samples": {}, "monotone_envelope": {}}
-    for p in p_samples:
+    for p in P_SAMPLES:
         try:
-            eb = asymptotic_bounds(rule, p, n_max=n_max,
+            eb = asymptotic_bounds(rule, p, n_max=N_MAX,
                                    multicurves=multicurves)
             entry = {
                 "upper": eb.upper,
@@ -220,7 +220,7 @@ def _energy_section(rule, p_samples, multicurves, n_max) -> dict:
     # monotone envelope: a certified bound at q <= p bounds p as well
     running = None
     source_p = None
-    for p in sorted(p_samples):
+    for p in sorted(P_SAMPLES):
         entry = out["samples"][str(p)]
         upper = entry.get("upper")
         if upper is not None and (running is None or upper < running):
@@ -233,7 +233,7 @@ def _energy_section(rule, p_samples, multicurves, n_max) -> dict:
                 "justification": "asymptotic energy is non-increasing in p",
             }
     out["e1_levels"] = {str(n): e1_exact(rule, n)
-                        for n in range(1, n_max + 1)}
+                        for n in range(1, N_MAX + 1)}
     return out
 
 

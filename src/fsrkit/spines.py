@@ -13,7 +13,7 @@ collected; in the polynomial regime at stable levels this reproduces the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .complexes import (
     CombinatorialCurve,
@@ -39,6 +39,7 @@ from .errors import (
     BudgetExceeded,
     InternalInconsistency,
     UnsupportedRegime,
+    ValidationFailure,
 )
 from .rules import LeveledComplex, SubdivisionRule, Tower, classify_vertices
 
@@ -50,7 +51,7 @@ CYCLE_ENUM_CAP = 100_000
 # ---------------------------------------------------------------------------
 
 
-def _recurrent_paths(g: DynDigraph, start, n: int, cap: int) -> list[list]:
+def _recurrent_paths(g: DynDigraph, start, n: int) -> list[list]:
     """Tag sequences of recurrent length-n paths from start.
 
     A path is recurrent when its end has a return path of length >= 1 to the
@@ -69,9 +70,9 @@ def _recurrent_paths(g: DynDigraph, start, n: int, cap: int) -> list[list]:
         v, tags = stack.pop()
         if len(tags) == n:
             out.append(tags)
-            if len(out) > cap:
+            if len(out) > CYCLE_ENUM_CAP:
                 raise BudgetExceeded(
-                    f"more than {cap} recurrent paths", reached=n)
+                    f"more than {CYCLE_ENUM_CAP} recurrent paths", reached=n)
             continue
         for a in c.out_arcs[v]:
             if c.comp_of[a.dst] == home:
@@ -79,13 +80,12 @@ def _recurrent_paths(g: DynDigraph, start, n: int, cap: int) -> list[list]:
     return out
 
 
-def recurrent_edge_ids(rule: SubdivisionRule, n: int,
-                       cap: int = CYCLE_ENUM_CAP) -> frozenset[str]:
+def recurrent_edge_ids(rule: SubdivisionRule, n: int) -> frozenset[str]:
     """Ids of recurrent level-n subedges of level-0 edges."""
     g = build_edge_digraph(rule)
     out: set[str] = set()
     for e0 in sorted(rule.level0.edges):
-        for tags in _recurrent_paths(g, e0, n, cap):
+        for tags in _recurrent_paths(g, e0, n):
             cur = e0
             for k, tag in enumerate(tags):
                 cur = tag if k == 0 else f"{cur}/e.{tag}"
@@ -93,14 +93,14 @@ def recurrent_edge_ids(rule: SubdivisionRule, n: int,
     return frozenset(out)
 
 
-def recurrent_bands(rule: SubdivisionRule, n: int,
-                    cap: int = CYCLE_ENUM_CAP) -> list[tuple[str, frozenset]]:
+def recurrent_bands(rule: SubdivisionRule, n: int
+                    ) -> list[tuple[str, frozenset]]:
     """Recurrent level-n bands as (level-n tile id, walk position pair)."""
     g = build_band_digraph(rule)
     out: list[tuple[str, frozenset]] = []
     for b0 in g.vertices:
         t0, pos = b0
-        for tags in _recurrent_paths(g, b0, n, cap):
+        for tags in _recurrent_paths(g, b0, n):
             tile = t0
             positions = pos
             for k, (t1, p, q) in enumerate(tags):
@@ -442,9 +442,9 @@ def classify_cycle(rule: SubdivisionRule, n: int, curve: CombinatorialCurve,
     """One of trivial, peripheral_julia, peripheral_fatou, essential."""
     classes = classify_vertices(rule)
     cx = Tower.of(rule).up_to(n).complex
-    if marked is not None:
-        cx = replace(cx, marked=frozenset(marked))
-    left, right = enclosed_markings(cx, curve)
+    marked = cx.marked if marked is None else marked
+    left, right = (tuple(v for v in side if v in marked) for side in
+                   enclosed_markings(cx, curve, count_all_vertices=True))
     if not left or not right:
         return "trivial"
     for side in (left, right):
@@ -456,8 +456,7 @@ def classify_cycle(rule: SubdivisionRule, n: int, curve: CombinatorialCurve,
     return "essential"
 
 
-def _enumerate_embedded_cycles(dual: DualSkeleton, edges: frozenset[str],
-                               cap: int = CYCLE_ENUM_CAP
+def _enumerate_embedded_cycles(dual: DualSkeleton, edges: frozenset[str]
                                ) -> list[CombinatorialCurve]:
     """Embedded closed walks in the spine using each full edge at most once."""
     edges_at: dict[str, list[str]] = {}
@@ -485,8 +484,9 @@ def _enumerate_embedded_cycles(dual: DualSkeleton, edges: frozenset[str],
             start_tile = dual.dart_tile[flip(d0)]
             stack = [(d0, (d0,), frozenset({e0}))]
             while stack:
-                if len(found) > cap:
-                    raise BudgetExceeded("embedded-cycle cap hit", reached=cap)
+                if len(found) > CYCLE_ENUM_CAP:
+                    raise BudgetExceeded("embedded-cycle cap hit",
+                                         reached=CYCLE_ENUM_CAP)
                 d, seq, used = stack.pop()
                 at = dual.dart_tile[d]
                 if at == start_tile:
@@ -523,12 +523,17 @@ def is_levy_free(rule: SubdivisionRule, marked: frozenset[str] | None = None
     The search covers embedded closed walks using each spine edge at most
     once; components whose cycle space has rank >= 2 are flagged in the
     notes, since a hypothetical essential class there could in principle
-    require edge multiplicities above one.
+    require edge multiplicities above one.  ``marked`` (default: the rule's
+    marked set) must name level-0 vertices; ValidationFailure otherwise.
     """
+    marked = frozenset(marked) if marked is not None else rule.marked
+    if not marked <= set(rule.level0.vertices):
+        raise ValidationFailure(
+            "complex: fail [marked] marked set contains a non-vertex",
+            check="marked")
     if not has_polynomial_growth(rule):
         raise UnsupportedRegime(
             "Levy decision is implemented for polynomial edge growth only")
-    marked = frozenset(marked) if marked is not None else rule.marked
     if not marked:
         marked = frozenset(rule.level0.vertices)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -277,6 +278,30 @@ def test_cli_quotient_normalize(tmp_path):
     assert code == 0
 
 
+def test_cli_normalize_collapses_a_marked_point(tmp_path):
+    # collapsing the Julia edge z merges the marked point C with D; C's
+    # level-1 copy keeps the name q(C), so the quotient marks vertices only
+    from fsrkit.catalog import levy_pillow_4
+
+    path = tmp_path / "pillow.json"
+    save_rule(remarked(levy_pillow_4(), {"A", "B", "C"}), str(path))
+    code, out = run_cli("--json", "normalize", str(path))
+    assert code == 0 and json.loads(out)["changed"]
+    code, out = run_cli("report", str(path))
+    assert code == 0
+    assert "verdict: conformal dimension bracket [1, 3.0]" in out
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_cli_levy_rejects_a_marked_non_vertex(capsys, name):
+    # power_spider_2 and tripod_pillow_4 have no curve to classify, so the
+    # marked set is checked before the spine is read
+    code, _ = run_cli("--json", "levy", name, "--marked", "A,ZZ")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: complex: fail [marked] marked set contains a non-vertex\n")
+
+
 def test_cli_multicurve_and_energy(tmp_path):
     spec = tmp_path / "mc.json"
     spec.write_text(json.dumps({"curves": ["g"],
@@ -323,8 +348,12 @@ def test_cli_render(tmp_path):
 
 
 def test_console_script_installed():
+    # pytest's pythonpath setting does not reach a subprocess
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
     proc = subprocess.run([sys.executable, "-m", "fsrkit.cli", "catalog"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "power_spider_2" in proc.stdout
 
